@@ -47,6 +47,6 @@ from .protocols import (
     remark2_protocol,
     shift_upb_subprotocol,
 )
-from .qstate import CompositeSpace, Ket, Operator, Subsystem, apply_effect, inner, schmidt_ebits, tensor
+from .qstate import CompositeSpace, Ket, Subsystem, schmidt_ebits
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from .qstate import (
     TOL,
     CompositeSpace,
     Ket,
+    KetExpr,
     Subsystem,
     pairwise_max_overlap,
 )
@@ -28,37 +29,27 @@ from .qstate import (
 
 def comp(i, dim):
     """Computational ket |i> in the given local dimension."""
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
-def pair_ket(i, j, sign, dim):
-    """(|i> + sign|j>)/sqrt2."""
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0 / np.sqrt(2.0)
-    v[j] = sign / np.sqrt(2.0)
-    return v
+    return KetExpr(i).vector(dim)
 
 
 def eta(sign, dim=3):
     """(|0> +- |1>)/sqrt2."""
-    return pair_ket(0, 1, sign, dim)
+    return KetExpr(0, 1, sign).vector(dim)
 
 
 def xi(sign, dim=3):
     """(|1> +- |2>)/sqrt2."""
-    return pair_ket(1, 2, sign, dim)
+    return KetExpr(1, 2, sign).vector(dim)
 
 
 def kappa(sign, dim=3):
     """(|0> +- |2>)/sqrt2."""
-    return pair_ket(0, 2, sign, dim)
+    return KetExpr(0, 2, sign).vector(dim)
 
 
 def chi(sign, dim=4):
     """(|2> +- |3>)/sqrt2."""
-    return pair_ket(2, 3, sign, dim)
+    return KetExpr(2, 3, sign).vector(dim)
 
 
 _SIGN = {1: "p", -1: "m"}
@@ -252,19 +243,13 @@ def _comp_label(triple):
     return "".join(str(i) for i in triple)
 
 
-def _embed(vec, dim):
-    out = np.zeros(dim, dtype=complex)
-    out[: len(vec)] = vec
-    return out
-
-
 def basis_I_43():
     """64-state three-ququad basis reducible by a local 3-vs-rest projection."""
     states = []
-    for lbl, (f1, f2) in _bennett_states():
-        states.append(ProductState(f"3_{lbl}", (comp(3, 4), _embed(f1, 4), _embed(f2, 4))))
-    for lbl, (f1, f2) in _bennett_states():
-        states.append(ProductState(f"{lbl}_3", (_embed(f1, 4), _embed(f2, 4), comp(3, 4))))
+    for lbl, (f1, f2) in _bennett_states(4):
+        states.append(ProductState(f"3_{lbl}", (comp(3, 4), f1, f2)))
+    for lbl, (f1, f2) in _bennett_states(4):
+        states.append(ProductState(f"{lbl}_3", (f1, f2, comp(3, 4))))
     for triple in _R_TABLE:
         states.append(ProductState(_comp_label(triple), tuple(comp(i, 4) for i in triple)))
     return OrthoProductBasis("B_I_43", [("A", 4), ("B", 4), ("C", 4)], states)

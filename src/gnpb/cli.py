@@ -58,7 +58,17 @@ def _load_protocol(ref, basis_override=None):
     path = Path(ref)
     if path.suffix == ".pdl" and path.exists():
         doc = pdl.parse(path.read_text())
-        return NamedProtocol(path.stem, basis_override or doc.basis, (), doc.root)
+        proto = NamedProtocol(path.stem, basis_override or doc.basis, (), doc.root)
+        try:
+            parties = proto.basis().parties
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
+        if dict(doc.parties) != dict(parties):
+            header = " ".join(f"{p}:{d}" for p, d in doc.parties)
+            target = " ".join(f"{p}:{d}" for p, d in parties)
+            raise UsageError(f"{path.name} declares parties {{ {header} }} "
+                             f"but basis {proto.basis_name} has {{ {target} }}")
+        return proto
     raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
 
 

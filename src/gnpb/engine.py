@@ -23,7 +23,7 @@ from math import log2, prod
 import numpy as np
 
 from .bases import RESOURCE_KINDS, resource_amplitudes, resource_ebits
-from .qstate import RANK_TOL, TOL, Ket, Subsystem
+from .qstate import RANK_TOL, TOL, Ket, KetExpr, Subsystem, born
 
 ORTHO_TOL = RANK_TOL  # pairwise orthogonality of surviving post-states
 PROB_TOL = TOL        # probability sums, completeness, identification totals
@@ -31,44 +31,6 @@ PROB_TOL = TOL        # probability sums, completeness, identification totals
 
 # ---------------------------------------------------------------------------
 # projector expressions (the P[...] calculus used by all protocols)
-
-@dataclass(frozen=True)
-class KetExpr:
-    """A computational ket |i> or a two-term superposition (|i> + s|j>)/sqrt2."""
-
-    i: int
-    j: int | None = None
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.j is not None:
-            if self.i == self.j:
-                raise ValueError("superposition needs two distinct levels")
-            if self.sign not in (1, -1):
-                raise ValueError("sign must be +-1")
-            if self.i > self.j:
-                # same ray up to a global phase; keep a canonical order
-                lo, hi = self.j, self.i
-                object.__setattr__(self, "i", lo)
-                object.__setattr__(self, "j", hi)
-
-    def vector(self, dim):
-        v = np.zeros(dim, dtype=complex)
-        if self.j is None:
-            v[self.i] = 1.0
-        else:
-            v[self.i] = 1.0 / np.sqrt(2.0)
-            v[self.j] = self.sign / np.sqrt(2.0)
-        return v
-
-    def permuted(self, perm):
-        if self.j is None:
-            return KetExpr(perm[self.i])
-        a, b = perm[self.i], perm[self.j]
-        if a > b:
-            a, b = b, a
-        return KetExpr(a, b, self.sign)
-
 
 def kets(spec):
     """Normalize a factor spec to a tuple of KetExpr (or None for identity)."""
@@ -660,15 +622,14 @@ class _Walk:
             if any(lbl in restricted for lbl in r.labels):
                 new_acted.add((r.kind, tuple(sorted(r.endpoints)), r.labels))
 
+        totals = [0.0] * len(candidates)
         for e in node.effects:
             m = mats[e.name]
             survivors = []
-            for lbl, vec, p in candidates:
-                split = space.split_axes(acted, vec)
-                proj = m @ split
-                p_out = float(np.linalg.norm(proj) ** 2)
-                if p_out > PROB_TOL:
-                    post = space.unsplit_axes(acted, proj) / np.sqrt(p_out)
+            for c, (lbl, vec, p) in enumerate(candidates):
+                p_out, post = born(space, acted, m, vec, PROB_TOL)
+                totals[c] += p_out
+                if post is not None:
                     survivors.append((lbl, post, p * p_out))
             if len(survivors) > 1:
                 stack = np.array([v for _, v, _ in survivors])
@@ -685,9 +646,7 @@ class _Walk:
                      frozenset(new_acted), f"{path}/{e.name}")
 
         # outcome probabilities must sum to one per incoming candidate
-        for lbl, vec, _ in candidates:
-            split = space.split_axes(acted, vec)
-            s = sum(float(np.linalg.norm(m @ split) ** 2) for m in mats.values())
+        for (lbl, _, _), s in zip(candidates, totals):
             if abs(s - 1.0) > PROB_TOL:
                 self.fail(path, "probability-sum", f"{lbl}: outcomes sum to {s}")
 

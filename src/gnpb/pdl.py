@@ -35,11 +35,11 @@ from .engine import (
     Effect,
     Fail,
     Identify,
-    KetExpr,
     Measure,
     MergeParties,
     PTerm,
 )
+from .qstate import KetExpr
 
 
 class PdlError(ValueError):

@@ -4,13 +4,14 @@ Registers are identified by name, never by position: every embedding of an
 operator into the joint space goes through subsystem labels, which keeps
 party bookkeeping honest when protocols attach ancillas or merge parties.
 All values are immutable after construction and every operation is a pure
-function.
+function.  :class:`KetExpr` is the one ket vocabulary (bases and effects
+are built from it) and :func:`born` is the one Born rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, prod
+from math import prod
 
 import numpy as np
 
@@ -77,9 +78,6 @@ class CompositeSpace:
     def subsystem(self, name):
         return self.subsystems[self.axis(name)]
 
-    def dim_of(self, names):
-        return prod(self.subsystem(n).dim for n in names)
-
     def extended(self, extra):
         """New space with additional subsystems appended."""
         return CompositeSpace(self.subsystems + tuple(extra))
@@ -142,94 +140,61 @@ class Ket:
     def is_normalized(self, tol=TOL):
         return abs(self.norm - 1.0) < tol
 
-    def normalized(self):
-        n = self.norm
-        if n < TOL:
-            raise ValueError("cannot normalize a (numerically) zero ket")
-        return Ket(self.space, self.amplitudes / n)
+
+@dataclass(frozen=True)
+class KetExpr:
+    """A computational ket |i> or a two-term superposition (|i> + s|j>)/sqrt2."""
+
+    i: int
+    j: int | None = None
+    sign: int = 1
+
+    def __post_init__(self):
+        if self.j is not None:
+            if self.i == self.j:
+                raise ValueError("superposition needs two distinct levels")
+            if self.sign not in (1, -1):
+                raise ValueError("sign must be +-1")
+            if self.i > self.j:
+                # same ray up to a global phase; keep a canonical order
+                lo, hi = self.j, self.i
+                object.__setattr__(self, "i", lo)
+                object.__setattr__(self, "j", hi)
+
+    def vector(self, dim):
+        levels = (self.i,) if self.j is None else (self.i, self.j)
+        if not all(0 <= lvl < dim for lvl in levels):
+            raise ValueError(f"ket levels {levels} out of range for dimension {dim}")
+        v = np.zeros(dim, dtype=complex)
+        if self.j is None:
+            v[self.i] = 1.0
+        else:
+            v[self.i] = 1.0 / np.sqrt(2.0)
+            v[self.j] = self.sign / np.sqrt(2.0)
+        return v
+
+    def permuted(self, perm):
+        if self.j is None:
+            return KetExpr(perm[self.i])
+        a, b = perm[self.i], perm[self.j]
+        if a > b:
+            a, b = b, a
+        return KetExpr(a, b, self.sign)
 
 
-def basis_ket(space, occupations):
-    """Computational basis ket |i1 i2 ...> given per-subsystem indices."""
-    if len(occupations) != len(space.subsystems):
-        raise ValueError("one index per subsystem required")
-    amps = np.zeros(space.dim, dtype=complex)
-    flat = 0
-    for idx, sub in zip(occupations, space.subsystems):
-        if not 0 <= idx < sub.dim:
-            raise ValueError(f"index {idx} out of range for {sub.name} (dim {sub.dim})")
-        flat = flat * sub.dim + idx
-    amps[flat] = 1.0
-    return Ket(space, amps)
+def born(space, acted, matrix, amplitudes, tol=TOL):
+    """Born rule for a projective effect on the named registers ``acted``.
 
-
-def single_ket(name, dim, amplitudes, owner=None):
-    """Ket on a single fresh register."""
-    space = CompositeSpace([Subsystem(name, dim, owner if owner is not None else name)])
-    return Ket(space, amplitudes)
-
-
-def tensor(factors):
-    """Tensor product of kets on label-disjoint spaces, in the given order."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("tensor of zero factors is not defined here")
-    subs = []
-    for f in factors:
-        subs.extend(f.space.subsystems)
-    space = CompositeSpace(subs)  # raises on label collision
-    amps = factors[0].amplitudes
-    for f in factors[1:]:
-        amps = np.kron(amps, f.amplitudes)
-    return Ket(space, amps)
-
-
-def inner(a, b):
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.space.dims != b.space.dims or a.space.names != b.space.names:
-        raise ValueError("inner product requires identical spaces")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-class Operator:
-    """A square complex matrix acting on a named subset of subsystems."""
-
-    def __init__(self, names, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        self.names = tuple(names)
-        self.matrix = mat
-
-    def is_hermitian(self, tol=TOL):
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol)
-
-    def is_projector(self, tol=TOL):
-        if not self.is_hermitian(tol):
-            return False
-        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) < tol)
-
-
-def apply_effect(effect, state, tol=TOL):
-    """Born rule for a projective effect embedded by label.
-
-    Returns ``(probability, post_state)``; the post state is None when the
-    probability is numerically zero.
+    ``matrix`` acts on ``acted`` in the given order and ``amplitudes`` is a
+    flat vector over ``space``.  Returns ``(probability, post)``; ``post`` is
+    the normalized flat post-state, or None when the probability is at most
+    ``tol``.
     """
-    if not effect.is_projector(max(tol, TOL)):
-        raise ValueError("apply_effect is restricted to projective effects")
-    d = state.space.dim_of(effect.names)
-    if effect.matrix.shape[0] != d:
-        raise ValueError("effect dimension does not match the named subsystems")
-    mat = state.space.split_axes(effect.names, state.amplitudes)
-    projected = effect.matrix @ mat
+    projected = matrix @ space.split_axes(acted, amplitudes)
     prob = float(np.linalg.norm(projected) ** 2)
-    if prob <= tol:
-        return 0.0, None
-    post = state.space.unsplit_axes(effect.names, projected) / np.sqrt(prob)
-    return prob, Ket(state.space, post)
+    if prob > tol:
+        return prob, space.unsplit_axes(acted, projected) / np.sqrt(prob)
+    return prob, None
 
 
 def schmidt_ebits(state, cut, tol=TOL):
@@ -259,8 +224,3 @@ def pairwise_max_overlap(vectors):
     gram = stack.conj() @ stack.T
     np.fill_diagonal(gram, 0.0)
     return float(np.max(np.abs(gram)))
-
-
-def merge_cost_ebits(dim):
-    """Entanglement cost of moving a register of the given dimension."""
-    return log2(dim)

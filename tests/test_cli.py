@@ -124,3 +124,40 @@ def test_tol_override_still_passes(capsys):
         assert code == 0 and "PASS" in out
     finally:
         eng.PROB_TOL, eng.ORTHO_TOL = saved
+
+
+MISMATCHED_PDL = """parties { A:4 B:3 }
+basis bennett_3x3
+
+measure by A {
+  E = P[A:{3}]
+  F = rest
+} outcomes {
+  E -> fail
+  F -> fail
+}
+"""
+
+
+def test_pdl_header_mismatch_exit_one(tmp_path, capsys):
+    path = tmp_path / "mismatch.pdl"
+    path.write_text(MISMATCHED_PDL)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "A:4 B:3" in err and "bennett_3x3" in err
+    # a --basis override is checked against the header too
+    good = tmp_path / "good.pdl"
+    good.write_text(MISMATCHED_PDL.replace("A:4", "A:3").replace("{3}", "{2}"))
+    code, _, err = run(capsys, "account", str(good), "--basis", "B_II_33")
+    assert code == 1 and "B_II_33" in err
+
+
+def test_out_of_range_level_is_execution_error():
+    from gnpb import pdl
+    from gnpb.bases import get_basis
+    from gnpb.engine import verify_protocol
+    doc = pdl.parse(MISMATCHED_PDL)
+    report = verify_protocol(doc.root, get_basis(doc.basis), "mismatch")
+    assert not report.ok
+    assert any(f["kind"] == "execution-error" for f in report.failures)

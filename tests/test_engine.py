@@ -64,6 +64,20 @@ def test_non_projector_effect_rejected():
     assert any(f["kind"] == "not-projector" for f in report.failures)
 
 
+def test_probability_sum_names_unnormalized_state():
+    # a factor scaled by 2 makes every outcome probability of "big" 4x too large
+    basis = OrthoProductBasis("scaled", [("A", 2), ("B", 2)], [
+        ProductState("big", (2 * comp(0, 2), comp(0, 2))),
+        ProductState("ok", (comp(1, 2), comp(0, 2))),
+    ])
+    root = measure("A", (eff("zero", P(A=0)), eff("one", P(A=1))),
+                   {"zero": Identify("big"), "one": Identify("ok")})
+    report = verify_protocol(root, basis, "scaled")
+    sums = [f for f in report.failures if f["kind"] == "probability-sum"]
+    assert [f["node"] for f in sums] == ["root"]
+    assert sums[0]["detail"].startswith("big: outcomes sum to 4.0")
+
+
 def test_locality_enforced():
     basis = _single_state_basis()
     root = measure("A", (eff("steal", P(B=[0, 1])),), {"steal": Identify("only")})

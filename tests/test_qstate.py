@@ -5,71 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnpb.bases import comp, eta, xi
+from gnpb.bases import ProductState, comp, eta, xi
 from gnpb.qstate import (
     CompositeSpace,
     Ket,
+    KetExpr,
     LabelCollisionError,
-    Operator,
     Subsystem,
-    apply_effect,
-    basis_ket,
-    inner,
+    born,
     pairwise_max_overlap,
     schmidt_ebits,
-    single_ket,
-    tensor,
 )
-
-
-def qutrit(name, vec, owner=None):
-    return single_ket(name, 3, vec, owner)
 
 
 def test_tensor_basis_case():
     # |0> x |0> -> amplitude 1 at flat index 0
-    k = tensor([single_ket("A", 2, [1, 0]), single_ket("B", 2, [1, 0])])
-    assert k.amplitudes[0] == 1.0
-    assert np.count_nonzero(k.amplitudes) == 1
+    amps = ProductState("00", (comp(0, 2), comp(0, 2))).joint()
+    assert amps[0] == 1.0
+    assert np.count_nonzero(amps) == 1
 
 
 def test_tensor_eta_xi_positions():
     # |eta+> x |xi+>: four amplitudes of 1/2 at (0,1),(0,2),(1,1),(1,2)
-    k = tensor([qutrit("A", eta(1)), qutrit("B", xi(1))])
+    amps = ProductState("ex", (eta(1), xi(1))).joint()
     expected = np.zeros(9)
     for i, j in [(0, 1), (0, 2), (1, 1), (1, 2)]:
         expected[3 * i + j] = 0.5
-    assert np.allclose(k.amplitudes, expected)
+    assert np.allclose(amps, expected)
 
 
 def test_tensor_norm_multiplicative():
-    factors = [qutrit("A", eta(1)), qutrit("B", xi(-1)), qutrit("C", comp(2, 3))]
-    assert abs(tensor(factors).norm - 1.0) < 1e-12
+    amps = ProductState("exc", (eta(1), xi(-1), comp(2, 3))).joint()
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_tensor_label_collision():
+    space = CompositeSpace([Subsystem("A", 3, "A")])
     with pytest.raises(LabelCollisionError):
-        tensor([qutrit("A", eta(1)), qutrit("A", xi(1))])
+        space.extended([Subsystem("A", 3, "A")])
 
 
 def test_inner_eta_pair_orthogonal():
-    a, b = qutrit("A", eta(1)), qutrit("A", eta(-1))
-    assert abs(inner(a, b)) < 1e-12
+    assert abs(np.vdot(eta(1), eta(-1))) < 1e-12
 
 
 def test_inner_eta_xi_half():
     # expand ((<0|+<1|)/sqrt2)((|1>+|2>)/sqrt2) = 1/2
-    assert inner(qutrit("A", eta(1)), qutrit("A", xi(1))) == pytest.approx(0.5)
+    assert np.vdot(eta(1), xi(1)) == pytest.approx(0.5)
 
 
 def test_inner_self_is_one():
-    psi = qutrit("A", xi(-1))
-    assert inner(psi, psi) == pytest.approx(1.0)
+    psi = xi(-1)
+    assert np.vdot(psi, psi) == pytest.approx(1.0)
 
 
-def test_inner_requires_same_space():
+def test_ket_vocabulary_levels():
+    assert np.array_equal(KetExpr(2).vector(4), comp(2, 4))
+    assert np.array_equal(KetExpr(1, 0, -1).vector(3), KetExpr(0, 1, -1).vector(3))
+    assert np.array_equal(KetExpr(0, 1, -1).vector(3), eta(-1))
     with pytest.raises(ValueError):
-        inner(qutrit("A", eta(1)), single_ket("A", 2, [1, 0]))
+        KetExpr(3).vector(3)
+    with pytest.raises(ValueError):
+        KetExpr(1, 3).vector(3)
 
 
 def _proj(vec):
@@ -77,22 +74,22 @@ def _proj(vec):
     return np.outer(v, v.conj())
 
 
+def _space(*dims):
+    return CompositeSpace([Subsystem(n, d, n) for n, d in zip("ABC", dims)])
+
+
 def test_apply_effect_eigenstate():
-    space = CompositeSpace([Subsystem("A", 4, "A"), Subsystem("B", 4, "B"),
-                            Subsystem("C", 4, "C")])
-    state = basis_ket(space, (3, 0, 0))
-    e = Operator(("A",), _proj([0, 0, 0, 1]))
-    p, post = apply_effect(e, state)
+    space = _space(4, 4, 4)
+    state = ProductState("300", (comp(3, 4), comp(0, 4), comp(0, 4))).joint()
+    p, post = born(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == pytest.approx(1.0)
-    assert abs(inner(post, state)) == pytest.approx(1.0)
+    assert abs(np.vdot(post, state)) == pytest.approx(1.0)
 
 
 def test_apply_effect_annihilated():
-    space = CompositeSpace([Subsystem("A", 4, "A"), Subsystem("B", 4, "B"),
-                            Subsystem("C", 4, "C")])
-    state = basis_ket(space, (2, 0, 0))
-    e = Operator(("A",), _proj([0, 0, 0, 1]))
-    p, post = apply_effect(e, state)
+    space = _space(4, 4, 4)
+    state = ProductState("200", (comp(2, 4), comp(0, 4), comp(0, 4))).joint()
+    p, post = born(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == 0.0 and post is None
 
 
@@ -103,30 +100,29 @@ def test_apply_effect_twist_break_on_epr():
                             Subsystem("b1", 2, "B")])
     phi = np.zeros(4, dtype=complex)
     phi[[0, 3]] = 1 / np.sqrt(2)
-    joint = Ket(space, np.kron(eta(1), phi))
+    joint = np.kron(eta(1), phi)
     m = np.kron(_proj([1, 0, 0]) + _proj([0, 1, 0]), _proj([1, 0])) \
         + np.kron(_proj([0, 0, 1]), _proj([0, 1]))
-    p, post = apply_effect(Operator(("B", "b1"), m), joint)
+    p, post = born(space, ("B", "b1"), m, joint)
     expected = np.kron(eta(1), np.array([1, 0, 0, 0]))
     assert p == pytest.approx(0.5)
-    assert abs(np.vdot(expected, post.amplitudes)) == pytest.approx(1.0)
-
-
-def test_apply_effect_rejects_non_projector():
-    space = CompositeSpace([Subsystem("A", 2, "A")])
-    state = basis_ket(space, (0,))
-    with pytest.raises(ValueError):
-        apply_effect(Operator(("A",), [[2, 0], [0, 0]]), state)
+    assert abs(np.vdot(expected, post)) == pytest.approx(1.0)
 
 
 def test_apply_effect_idempotent():
-    space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("B", 3, "B")])
-    state = Ket(space, np.kron(eta(1), xi(-1)))
-    e = Operator(("A",), _proj(eta(1)))
-    p, post = apply_effect(e, state)
-    p2, post2 = apply_effect(e, post)
+    space = _space(3, 3)
+    state = np.kron(eta(1), xi(-1))
+    p, post = born(space, ("A",), _proj(eta(1)), state)
+    p2, post2 = born(space, ("A",), _proj(eta(1)), post)
     assert p == pytest.approx(1.0) and p2 == pytest.approx(1.0)
-    assert abs(inner(post, post2)) == pytest.approx(1.0)
+    assert abs(np.vdot(post, post2)) == pytest.approx(1.0)
+
+
+def test_born_reports_probability_below_tolerance():
+    # the walk sums every outcome probability, including the cut-off ones
+    space = _space(2)
+    p, post = born(space, ("A",), _proj([0, 1]), np.array([1.0, 1e-6]), tol=1e-9)
+    assert p == pytest.approx(1e-12) and post is None
 
 
 def test_schmidt_epr_is_one_ebit():
@@ -144,7 +140,8 @@ def test_schmidt_qutrit_pair():
 
 
 def test_schmidt_product_state_zero():
-    k = tensor([qutrit("A", eta(1)), qutrit("B", xi(1)), qutrit("C", comp(0, 3))])
+    amps = ProductState("exc", (eta(1), xi(1), comp(0, 3))).joint()
+    k = Ket(_space(3, 3, 3), amps)
     assert schmidt_ebits(k, ("A",)) == pytest.approx(0.0, abs=1e-9)
     assert schmidt_ebits(k, ("A", "B")) == pytest.approx(0.0, abs=1e-9)
 
@@ -180,26 +177,14 @@ def random_kets(draw, dim=6):
     return vec / norm
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_kets(), random_kets())
-def test_inner_conjugate_symmetry(u, v):
-    space = CompositeSpace([Subsystem("x", 2, "A"), Subsystem("y", 3, "B")])
-    a, b = Ket(space, u), Ket(space, v)
-    assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
-    assert inner(a, a).imag == pytest.approx(0.0, abs=1e-12)
-    assert inner(a, a).real >= 0.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(random_kets(dim=6), st.integers(0, 1000))
 def test_complete_measurement_probabilities_sum_to_one(u, seed):
     space = CompositeSpace([Subsystem("x", 2, "A"), Subsystem("y", 3, "B")])
-    state = Ket(space, u)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(g)
-    effects = [Operator(("y",), _proj(q[:, k])) for k in range(3)]
-    total = sum(apply_effect(e, state)[0] for e in effects)
+    total = sum(born(space, ("y",), _proj(q[:, k]), u)[0] for k in range(3))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
