@@ -45,7 +45,10 @@ def _load_basis(ref):
         return get_basis(ref)
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
-        return OrthoProductBasis.from_json(path.read_text(), name=path.stem)
+        try:
+            return OrthoProductBasis.from_json(path.read_text(), name=path.stem)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"cannot read basis {path.name}: {exc}") from None
     raise UsageError(f"unknown basis {ref!r} (not a builtin, not a .json file)")
 
 
@@ -97,7 +100,10 @@ def cmd_check_basis(args):
 
 def cmd_classify(args):
     basis = _load_basis(args.basis)
-    cert = opm.classify(basis)
+    try:
+        cert = opm.classify(basis)
+    except ValueError as exc:
+        raise UsageError(f"cannot classify {basis.name}: {exc}") from None
     if args.json:
         _emit_json(cert.to_dict())
     else:
@@ -174,8 +180,10 @@ def cmd_tiles(args):
             raise UsageError("cut must look like AB|C")
         left, right = cut.split("|", 1)
         merged = tuple(left)
-        if set(merged) | set(right) != set(names) or set(merged) & set(right):
+        if sorted(left + right) != sorted(names):
             raise UsageError(f"cut {cut!r} does not partition parties {names}")
+        if len(right) != 1:
+            raise UsageError(f"cut {cut!r} must leave exactly one party right of '|'")
     report = render_tiles(basis, merged)
     print(report.text)
     return 0
@@ -228,6 +236,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    saved_tol = engine.PROB_TOL, engine.ORTHO_TOL
     try:
         args = parser.parse_args(argv)
         _apply_tol(args.tol)
@@ -238,6 +247,8 @@ def main(argv=None):
     except pdl.PdlError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        engine.PROB_TOL, engine.ORTHO_TOL = saved_tol
 
 
 if __name__ == "__main__":

@@ -23,60 +23,56 @@ def _party_index(basis):
     return {p: i for i, (p, _) in enumerate(basis.parties)}
 
 
+def _kron_rows(x, y):
+    """Row-wise Kronecker product of an (n, a) and an (n, b) array."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
+
+
 def group_factorization(basis, group):
-    """Per-state (group factor, rest factor) vectors for a party group.
+    """Per-state group and rest factors, as ``(n_states, d_group)`` and
+    ``(n_states, d_rest)`` arrays.
 
     Factors multiply in party order, so two states' group factors live in
-    the same tensor ordering.
+    the same tensor ordering.  An empty rest is the factor ``[1]``.
     """
     idx = _party_index(basis)
     for p in group:
         if p not in idx:
             raise KeyError(f"unknown party {p!r}")
-    group_pos = sorted(idx[p] for p in set(group))
-    rest_pos = [i for i in range(len(basis.parties)) if i not in group_pos]
-    pairs = []
-    for st in basis.states:
-        a = st.factors[group_pos[0]]
-        for i in group_pos[1:]:
-            a = np.kron(a, st.factors[i])
-        if rest_pos:
-            r = st.factors[rest_pos[0]]
-            for i in rest_pos[1:]:
-                r = np.kron(r, st.factors[i])
+    group_pos = {idx[p] for p in group}
+    n = len(basis.states)
+    group_factors = rest_factors = np.ones((n, 1), dtype=complex)
+    for i, (_, d) in enumerate(basis.parties):
+        f = np.array([st.factors[i] for st in basis.states], dtype=complex).reshape(n, d)
+        if i in group_pos:
+            group_factors = _kron_rows(group_factors, f)
         else:
-            r = np.ones(1, dtype=complex)
-        pairs.append((a, r))
-    return pairs
+            rest_factors = _kron_rows(rest_factors, f)
+    return group_factors, rest_factors
 
 
-def constrained_pairs(basis, group, tol=TOL):
-    """Indices (i, j) whose rest overlap forces ``<a_i|E|a_j> = 0``."""
-    fac = group_factorization(basis, group)
-    out = []
-    for i in range(len(fac)):
-        for j in range(i + 1, len(fac)):
-            if abs(np.vdot(fac[i][1], fac[j][1])) > tol:
-                out.append((i, j))
-    return out, fac
+def constrained_pairs(basis, group):
+    """Index arrays ``(i, j)``, ``i < j``, of the state pairs whose rest
+    overlap forces ``<a_i|E|a_j> = 0``, and the per-state group factors."""
+    group_factors, rest_factors = group_factorization(basis, group)
+    gram = np.abs(rest_factors.conj() @ rest_factors.T)
+    return np.nonzero(np.triu(gram > TOL, k=1)), group_factors
 
 
 def hermitian_basis(d):
-    """Real basis of d x d Hermitian matrices (d^2 elements)."""
-    mats = []
-    for k in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[k, k] = 1.0
-        mats.append(m)
-    for k in range(d):
-        for l in range(k + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[k, l] = m[l, k] = 1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[k, l] = -1.0j
-            m[l, k] = 1.0j
-            mats.append(m)
+    """Real basis of d x d Hermitian matrices, as a ``(d^2, d, d)`` array.
+
+    The d diagonal units come first, then for each ``k < l`` the symmetric
+    and the antisymmetric element on (k, l).
+    """
+    mats = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    mats[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(k))
+    mats[sym, k, l] = mats[sym, l, k] = 1.0
+    mats[sym + 1, k, l] = -1.0j
+    mats[sym + 1, l, k] = 1.0j
     return mats
 
 
@@ -86,8 +82,9 @@ class HermitianSolutionSpace:
 
     group: tuple
     local_dim: int
-    basis_matrices: tuple
-    constrained: tuple
+    basis_matrices: np.ndarray  # (dim, d, d), Hilbert-Schmidt orthonormal
+    factors: np.ndarray         # (n_states, d): per-state group factor a_i
+    pairs: tuple                # index arrays (i, j) of the constrained pairs
 
     @property
     def dim(self):
@@ -97,20 +94,14 @@ class HermitianSolutionSpace:
     def nontrivial(self):
         return self.dim > 1
 
-    def satisfies(self, matrix, tol=RANK_TOL):
+    def satisfies(self, matrix):
         """Check the OPM constraints directly for one Hermitian matrix."""
-        return all(abs(a_i.conj() @ matrix @ a_j) < tol for a_i, a_j in self.constrained)
-
-    def contains_identity(self, tol=RANK_TOL):
-        ident = np.eye(self.local_dim, dtype=complex)
-        coeffs = [np.real(np.trace(b.conj().T @ ident)) / np.real(np.trace(b.conj().T @ b))
-                  for b in self.basis_matrices]
-        recon = sum(c * b for c, b in zip(coeffs, self.basis_matrices))
-        # basis matrices are orthogonal (SVD rows), so this projection is exact
-        return bool(np.max(np.abs(recon - ident)) < tol)
+        i, j = self.pairs
+        vals = np.einsum("pk,kl,pl->p", self.factors[i].conj(), matrix, self.factors[j])
+        return bool(np.all(np.abs(vals) < RANK_TOL))
 
 
-def opm_solution_space(basis, group, tol=TOL, rank_tol=RANK_TOL):
+def opm_solution_space(basis, group):
     """Solve the OPM constraint system for one party group.
 
     Returns an orthonormal (in Hilbert-Schmidt sense) basis of the real
@@ -118,32 +109,28 @@ def opm_solution_space(basis, group, tol=TOL, rank_tol=RANK_TOL):
     parametrization of Hermitian matrices.
     """
     group = tuple(group)
-    pairs, fac = constrained_pairs(basis, group, tol)
-    d = len(fac[0][0])
-    hbasis = hermitian_basis(d)
-    if pairs:
-        rows = np.empty((2 * len(pairs), len(hbasis)))
-        for r, (i, j) in enumerate(pairs):
-            a_i, a_j = fac[i][0], fac[j][0]
-            vals = np.array([a_i.conj() @ h @ a_j for h in hbasis])
-            rows[2 * r] = vals.real
-            rows[2 * r + 1] = vals.imag
-        _, svals, vt = np.linalg.svd(rows)
-        cut = rank_tol * (svals[0] if len(svals) else 1.0)
-        rank = int(np.sum(svals > cut))
+    (i, j), factors = constrained_pairs(basis, group)
+    d = factors.shape[1]  # from the party dims, so also with no states
+    h_flat = hermitian_basis(d).reshape(d * d, d * d)
+    if len(i):
+        # <a_i|h|a_j> = vec(conj(a_i) (x) a_j) . vec(h): all pairs, all h at once
+        vals = _kron_rows(factors[i].conj(), factors[j]) @ h_flat.T
+        # one (re, im) row pair per constrained pair: the nullspace basis the
+        # SVD returns, and so the witness found, depends on the row order
+        rows = np.stack([vals.real, vals.imag], axis=1).reshape(-1, d * d)
+        # R has the rows' singular values and row space, and its SVD skips
+        # the rows x rows left factor
+        _, svals, vt = np.linalg.svd(np.linalg.qr(rows, mode="r"))
+        rank = int(np.sum(svals > RANK_TOL * svals[0]))
         null_rows = vt[rank:]
     else:
-        null_rows = np.eye(len(hbasis))
-    mats = []
-    for row in null_rows:
-        m = sum(c * h for c, h in zip(row, hbasis))
-        mats.append(m)
-    constrained = tuple((fac[i][0], fac[j][0]) for i, j in pairs)
+        null_rows = np.eye(d * d)
     return HermitianSolutionSpace(
         group=group,
         local_dim=d,
-        basis_matrices=tuple(mats),
-        constrained=constrained,
+        basis_matrices=(null_rows @ h_flat).reshape(-1, d, d),
+        factors=factors,
+        pairs=(i, j),
     )
 
 
@@ -179,11 +166,15 @@ class EliminatingOpm:
         }
 
 
-def _eigen_projectors(h, tol=1e-7):
+#: eigenvalues closer than this (relative to the largest) share one projector
+EIGEN_CLUSTER_TOL = 1e-7
+
+
+def _eigen_projectors(h):
     evals, evecs = np.linalg.eigh(h)
     clusters = []
     for idx, ev in enumerate(evals):
-        if clusters and abs(ev - clusters[-1][0][-1]) < tol * max(1.0, abs(evals[-1])):
+        if clusters and abs(ev - clusters[-1][0][-1]) < EIGEN_CLUSTER_TOL * max(1.0, abs(evals[-1])):
             clusters[-1][0].append(ev)
             clusters[-1][1].append(idx)
         else:
@@ -207,7 +198,7 @@ def _groupings(projectors):
             yield [sum(included), sum(excluded)]
 
 
-def find_eliminating_opm(basis, group, seed=0):
+def find_eliminating_opm(basis, group):
     """Search the solution space for a complete projective eliminating OPM.
 
     Returns None when the space is trivial, and also when no eigenprojector
@@ -218,16 +209,12 @@ def find_eliminating_opm(basis, group, seed=0):
     space = opm_solution_space(basis, group)
     if not space.nontrivial:
         return None
-    fac = group_factorization(basis, group)
-    labels = basis.labels
+    labels = np.array(basis.labels, dtype=object)
     d = space.local_dim
 
-    rng = np.random.default_rng(seed)
-    candidates = list(space.basis_matrices)
-    for _ in range(20):
-        coeff = rng.normal(size=space.dim)
-        candidates.append(sum(c * b for c, b in zip(coeff, space.basis_matrices)))
-
+    coeffs = np.random.default_rng(0).normal(size=(20, space.dim))
+    candidates = np.concatenate(
+        [space.basis_matrices, np.tensordot(coeffs, space.basis_matrices, axes=1)])
     for h in candidates:
         h0 = h - (np.trace(h).real / d) * np.eye(d)
         if np.max(np.abs(h0)) < RANK_TOL:
@@ -243,14 +230,9 @@ def find_eliminating_opm(basis, group, seed=0):
                 continue
             eliminated, survivors = [], []
             for e in effects:
-                killed, alive = [], []
-                for lbl, (a, _) in zip(labels, fac):
-                    if np.linalg.norm(e @ a) < RANK_TOL:
-                        killed.append(lbl)
-                    else:
-                        alive.append(lbl)
-                eliminated.append(tuple(killed))
-                survivors.append(tuple(alive))
+                killed = np.linalg.norm(space.factors @ e.T, axis=1) < RANK_TOL
+                eliminated.append(tuple(labels[killed]))
+                survivors.append(tuple(labels[~killed]))
             if any(eliminated):
                 return EliminatingOpm(
                     group=tuple(group),
@@ -271,14 +253,6 @@ class GnpbClassification:
     merged_dims: dict       # (party, party) -> solution space dimension
     verdict: str            # "TypeI" | "TypeIIa" | "TypeIIb"
     witness: EliminatingOpm | None
-
-    @property
-    def all_separated_reducible(self):
-        return {p: d > 1 for p, d in self.single_dims.items()}
-
-    @property
-    def two_merged_reducible(self):
-        return {g: d > 1 for g, d in self.merged_dims.items()}
 
     def to_dict(self):
         return {
@@ -301,6 +275,8 @@ def classify(basis):
     parties = [p for p, _ in basis.parties]
     if len(parties) != 3:
         raise ValueError("classification is implemented for tripartite bases")
+    if not basis.states:
+        raise ValueError("classification needs at least one state")
     single_dims = {p: opm_solution_space(basis, (p,)).dim for p in parties}
     merged_dims = {}
     for i in range(3):

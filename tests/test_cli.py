@@ -118,12 +118,38 @@ def test_check_basis_unknown(capsys):
 
 def test_tol_override_still_passes(capsys):
     import gnpb.engine as eng
-    saved = (eng.PROB_TOL, eng.ORTHO_TOL)
-    try:
-        code, out, _ = run(capsys, "--tol", "1e-7", "verify", "prop5_II33")
-        assert code == 0 and "PASS" in out
-    finally:
-        eng.PROB_TOL, eng.ORTHO_TOL = saved
+    defaults = (eng.PROB_TOL, eng.ORTHO_TOL)
+    code, out, _ = run(capsys, "--tol", "1e-7", "verify", "prop5_II33")
+    assert code == 0 and "PASS" in out
+    # the override is scoped to one main() call
+    assert (eng.PROB_TOL, eng.ORTHO_TOL) == defaults
+
+
+def _basis_doc(*factors):
+    """A one-state 2x2x2 basis document (no states when no factors)."""
+    states = [{"label": "s", "factors": list(factors)}] if factors else []
+    return json.dumps({"parties": [{"name": p, "dim": 2} for p in "ABC"], "states": states})
+
+
+WRONG_DIM = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("argv, document", [
+    pytest.param(("classify", "bennett_3x3"), None, id="classify-bipartite"),
+    pytest.param(("classify", "FILE"), _basis_doc(), id="classify-no-states"),
+    pytest.param(("check-basis", "FILE"), "{not json", id="invalid-json"),
+    pytest.param(("check-basis", "FILE"), WRONG_DIM, id="check-basis-wrong-dim"),
+    pytest.param(("classify", "FILE"), WRONG_DIM, id="classify-wrong-dim"),
+    pytest.param(("tiles", "B_II_33", "--cut", "AA|BC"), None, id="tiles-repeated-party"),
+    pytest.param(("tiles", "B_II_33", "--cut", "A|BC"), None, id="tiles-two-column-parties"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
+    path = tmp_path / "basis.json"
+    if document is not None:
+        path.write_text(document)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 MISMATCHED_PDL = """parties { A:4 B:3 }

@@ -176,13 +176,27 @@ def test_oracle_sweep_matches_on_sample():
 # ---------------------------------------------------------------------------
 # named-basis facts
 
+#: typed in: single dims A/B/C, merged dims A+B/A+C/B+C, witness group
+CLASSIFIED = {
+    "B_I_43": ((2, 2, 2), (10, 12, 10), ("A",)),
+    "B_II_43": ((1, 1, 1), (8, 10, 8), ("A", "B")),
+    "B_II_33": ((1, 1, 1), (1, 1, 1), None),
+    "B_IIb_33": ((1, 1, 1), (1, 1, 1), None),
+    "shift_222": ((1, 1, 1), (2, 2, 2), ("A", "B")),
+}
+MERGED = (("A", "B"), ("A", "C"), ("B", "C"))
+
+
 def test_identity_always_a_solution():
-    for name in ("B_I_43", "B_II_33", "B_IIb_33"):
+    for name in CLASSIFIED:
         basis = get_basis(name)
-        for p, _ in basis.parties:
-            space = opm_solution_space(basis, (p,))
+        for group in GROUPS_222:
+            space = opm_solution_space(basis, group)
             assert space.dim >= 1
-            assert space.contains_identity()
+            ident = np.eye(space.local_dim).reshape(-1)
+            stack = space.basis_matrices.reshape(space.dim, -1)
+            coeff, _, _, _ = np.linalg.lstsq(stack.T, ident, rcond=None)
+            assert np.max(np.abs(stack.T @ coeff - ident)) < 1e-8
 
 
 def test_basis_I_alice_space_contains_three_projector():
@@ -243,6 +257,21 @@ def test_solution_space_phase_invariant():
         assert opm_solution_space(phased, g).dim == opm_solution_space(basis, g).dim
 
 
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_classification_pinned(name):
+    single, merged, witness_group = CLASSIFIED[name]
+    basis = get_basis(name)
+    cert = classify(basis)
+    assert tuple(cert.single_dims[p] for p in "ABC") == single
+    assert tuple(cert.merged_dims[g] for g in MERGED) == merged
+    assert (cert.witness and cert.witness.group) == witness_group
+    for group in GROUPS_222:
+        space = opm_solution_space(basis, group)
+        for m in space.basis_matrices:
+            assert np.max(np.abs(m - m.conj().T)) < 1e-12
+            assert space.satisfies(m)
+
+
 def test_classify_verdicts():
     assert classify(get_basis("B_I_43")).verdict == "TypeI"
     assert classify(get_basis("B_II_43")).verdict == "TypeIIa"
@@ -284,8 +313,7 @@ def test_classify_stable_under_party_permutation():
 
 def test_group_factorization_orders_by_party():
     basis = get_basis("B_II_33")
-    fac = group_factorization(basis, ("C", "A"))  # order must not matter
-    joint = basis.joint_matrix()
-    # a_i (x) r_i reproduces the state up to axis ordering; check norms only
-    for (a, r), vec in zip(fac, joint):
-        assert np.linalg.norm(a) * np.linalg.norm(r) == pytest.approx(1.0)
+    group, rest = group_factorization(basis, ("C", "A"))  # order must not matter
+    # a_i (x) r_i is the state with its axes reordered to A, C | B
+    joint = basis.joint_matrix().reshape(-1, 3, 3, 3).transpose(0, 1, 3, 2)
+    assert np.allclose(group[:, :, None] * rest[:, None, :], joint.reshape(-1, 9, 3))
