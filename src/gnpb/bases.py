@@ -373,16 +373,16 @@ RESOURCE_KINDS = {
 
 def resource_amplitudes(kind):
     if kind == "EPR":
-        v = np.zeros(4, dtype=complex)
+        v = np.zeros(4)
         v[[0, 3]] = 1 / np.sqrt(2)
     elif kind == "EPR3":
-        v = np.zeros(9, dtype=complex)
+        v = np.zeros(9)
         v[[0, 4, 8]] = 1 / np.sqrt(3)
     elif kind == "GHZ":
-        v = np.zeros(8, dtype=complex)
+        v = np.zeros(8)
         v[[0, 7]] = 1 / np.sqrt(2)
     elif kind == "W":
-        v = np.zeros(8, dtype=complex)
+        v = np.zeros(8)
         v[[1, 2, 4]] = 1 / np.sqrt(3)
     else:
         raise KeyError(f"unknown resource kind {kind!r}")

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, opm, pdl
 from .bases import BUILTIN_BASES, OrthoProductBasis, check_basis, get_basis, render_tiles
 from .protocols import BUILTIN_PROTOCOLS, NamedProtocol, get_protocol
@@ -32,12 +34,21 @@ def _fmt(value):
     return str(value)
 
 
+def _rounded(x):
+    """``x`` with every float (numpy scalars too) cut to 12 significant digits."""
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rounded(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float):
+        return float(format(x, ".12g"))
+    return x
+
+
 def _emit_json(doc):
-    def default(x):
-        if isinstance(x, float):
-            return float(format(x, ".12g"))
-        raise TypeError(type(x))
-    print(json.dumps(doc, indent=2, default=default))
+    print(json.dumps(_rounded(doc), indent=2))
 
 
 def _load_basis(ref):

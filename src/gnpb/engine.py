@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log2, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,31 +181,38 @@ def measure(actor, effects, children):
 # effect materialization
 
 def _factor_projector(ks, dim):
-    p = np.zeros((dim, dim), dtype=complex)
+    p = np.zeros((dim, dim))
     for k in ks:
         v = k.vector(dim)
-        p += np.outer(v, v.conj())
+        p = p + np.outer(v, v.conj())
     return p
 
 
+def _remainder(dim, others):
+    """Identity minus the sum of the other effects' matrices."""
+    total = np.eye(dim)
+    for m in others:
+        total = total - m
+    return total
+
+
 def materialize(effect, siblings, space, acted):
-    """Dense matrix of an effect over the acted registers (in space order)."""
+    """Dense matrix of an effect over the acted registers (in space order).
+
+    The dtype follows the kets: real for every ``P[...]`` effect.
+    """
     dims = [space.subsystem(n).dim for n in acted]
     if effect.is_rest:
-        total = np.eye(prod(dims), dtype=complex)
-        for sib in siblings:
-            if not sib.is_rest:
-                total = total - materialize(sib, (), space, acted)
-        return total
-    out = np.zeros((prod(dims), prod(dims)), dtype=complex)
+        return _remainder(prod(dims), (materialize(sib, (), space, acted)
+                                       for sib in siblings if not sib.is_rest))
+    out = np.zeros((prod(dims), prod(dims)))
     for term in effect.terms:
         fmap = dict(term.factors)
-        mat = np.ones((1, 1), dtype=complex)
+        mat = np.ones((1, 1))
         for name, dim in zip(acted, dims):
             ks = fmap.get(name)
-            f = np.eye(dim, dtype=complex) if ks is None else _factor_projector(ks, dim)
-            mat = np.kron(mat, f)
-        out += mat
+            mat = np.kron(mat, np.eye(dim) if ks is None else _factor_projector(ks, dim))
+        out = out + mat
     return out
 
 
@@ -302,50 +310,55 @@ class StrategyNode:
         return "\n".join(lines)
 
 
-def _strip_common(space, candidates, ignore):
-    """Factor untouched registers out of every candidate (returned intact)."""
-    drop = [n for n in space.names if n in ignore]
-    if not drop:
-        return space, candidates
-    reduced = []
-    shared = None
-    for lbl, vec in candidates:
-        mat = space.split_axes(drop, vec)  # (d_drop, d_rest)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        if len(s) > 1 and s[1] > RANK_TOL:
-            return None, None
-        w = u[:, 0]
-        if shared is None:
-            shared = w
-        elif abs(np.vdot(shared, w)) < 1 - RANK_TOL:
-            return None, None
-        # mat = u0 s0 vh0, so the rest factor is s0 * vh0 (phase absorbed)
-        reduced.append((lbl, s[0] * vh[0]))
-    return space.without(drop), reduced
+def _norms(rows):
+    return np.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real)
 
 
-def _party_factors(space, owners, candidates):
-    """Per-candidate local vectors per party; None if any state is entangled
-    across parties."""
-    factors = {p: [] for p in owners}
-    for _, vec in candidates:
-        for p, names in owners.items():
-            mat = space.split_axes(names, vec)
-            u, s, _ = np.linalg.svd(mat, full_matrices=False)
+def _product_factors(space, groups, stack):
+    """Unit local factors of every state on every register group, or None.
+
+    ``groups`` partitions the registers of ``space`` and ``stack`` is
+    ``(n, D)``.  Returns one ``(n, d_g)`` array per group, or None when some
+    state has a group cut with ``s[1] > RANK_TOL``.  The fibres through a
+    state's largest entry span a product approximation that has rank one
+    across every group cut, so by Eckart-Young its residual bounds ``s[1]``
+    of each cut from above: a residual within ``RANK_TOL`` proves the state
+    product without an SVD.  Only the other states go to the per-cut SVD,
+    so every verdict equals the SVD's.
+    """
+    n, k = len(stack), len(groups)
+    dims = tuple(prod(space.subsystem(r).dim for r in g) for g in groups)
+    flat = space.split_axes([r for g in groups for r in g], stack).reshape(n, -1)
+    tensor = flat.reshape((n,) + dims)
+    rows = np.arange(n)
+    top = np.abs(flat).argmax(axis=1)
+    pivot = np.unravel_index(top, dims)
+    fibres = [tensor[(rows,) + pivot[:g] + (slice(None),) + pivot[g + 1:]] for g in range(k)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the fibres' outer product is the state times pivot**(k - 1)
+        approx = fibres[0] / (flat[rows, top] ** (k - 1))[:, None]
+        for f in fibres[1:]:
+            approx = (approx[:, :, None] * f[:, None, :]).reshape(n, -1)
+        factors = [f / _norms(f)[:, None] for f in fibres]
+        resid = _norms(flat - approx)
+    for c in np.flatnonzero(~(resid <= RANK_TOL)):
+        for g, f in zip(groups, factors):
+            u, s, _ = np.linalg.svd(space.split_axes(g, stack[c]), full_matrices=False)
             if len(s) > 1 and s[1] > RANK_TOL:
                 return None
-            factors[p].append(u[:, 0])
+            f[c] = u[:, 0]
     return factors
 
 
-def _split_recursive(labels, factors, party_order):
-    if len(labels) <= 1:
-        return StrategyNode(tuple(labels), None, ())
-    n = len(labels)
+def _split_recursive(idxs, labels, close, party_order):
+    """Strategy for the states ``idxs``; ``close[p][i][j]``: the local
+    factors of states i and j on party p overlap."""
+    if len(idxs) <= 1:
+        return StrategyNode(tuple(labels[i] for i in idxs), None, ())
     for p in party_order:
-        local = factors[p]
+        adj = close[p]
         # connected components of the local overlap graph
-        comp = list(range(n))
+        comp = {i: i for i in idxs}
 
         def find(x):
             while comp[x] != x:
@@ -353,52 +366,51 @@ def _split_recursive(labels, factors, party_order):
                 x = comp[x]
             return x
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(np.vdot(local[i], local[j])) > ORTHO_TOL:
+        for a, i in enumerate(idxs):
+            for j in idxs[a + 1:]:
+                if adj[i][j]:
                     comp[find(i)] = find(j)
         groups: dict[int, list[int]] = {}
-        for i in range(n):
+        for i in idxs:
             groups.setdefault(find(i), []).append(i)
         if len(groups) < 2:
             continue
         blocks = []
-        for idxs in sorted(groups.values()):
-            sub_labels = [labels[i] for i in idxs]
-            sub_factors = {q: [factors[q][i] for i in idxs] for q in party_order}
-            child = _split_recursive(sub_labels, sub_factors, party_order)
+        for block in sorted(groups.values()):
+            child = _split_recursive(block, labels, close, party_order)
             if child is None:
                 break
-            blocks.append((tuple(sub_labels), child))
+            blocks.append((tuple(labels[i] for i in block), child))
         else:
-            return StrategyNode(tuple(labels), p, tuple(blocks))
+            return StrategyNode(tuple(labels[i] for i in idxs), p, tuple(blocks))
     return None
 
 
-def leaf_verify(states, parties=None, ignore=()):
+def leaf_verify(states, ignore=()):
     """Search for a sequential local strategy distinguishing product states.
 
-    ``states`` is a list of ``(label, Ket)`` on a shared space; ``parties``
-    maps party names to the registers they hold (defaulting to register
-    ownership).  Returns a strategy tree, or None when the states are not
-    all product across parties (after detaching ``ignore`` registers) or no
-    sequence of orthogonal-subspace splits separates them.  The check is
-    sufficient, never complete.
+    ``states`` is a list of ``(label, Ket)`` on a shared space; each party
+    holds the registers it owns.  Returns a strategy tree, or None when the
+    states are not all product across parties (after detaching the
+    ``ignore`` registers, which must carry one shared state) or no sequence
+    of orthogonal-subspace splits separates them.  The check is sufficient,
+    never complete.
     """
     if not states:
         return StrategyNode((), None, ())
     space = states[0][1].space
-    candidates = [(lbl, k.amplitudes) for lbl, k in states]
-    space, candidates = _strip_common(space, candidates, frozenset(ignore))
-    if space is None:
-        return None
-    owners = parties if parties is not None else space.owners()
-    owners = {p: tuple(ns) for p, ns in owners.items() if ns}
-    factors = _party_factors(space, owners, candidates)
+    drop = tuple(n for n in space.names if n in ignore)
+    owners = space.without(drop).owners()
+    groups = list(owners.values()) + ([drop] if drop else [])
+    factors = _product_factors(space, groups, np.array([k.amplitudes for _, k in states]))
     if factors is None:
         return None
-    party_order = sorted(owners)
-    return _split_recursive([lbl for lbl, _ in candidates], factors, party_order)
+    shared = factors[-1]
+    if drop and not np.all(np.abs(shared.conj() @ shared[0]) >= 1 - RANK_TOL):
+        return None
+    close = {p: (np.abs(f.conj() @ f.T) > ORTHO_TOL).tolist() for p, f in zip(owners, factors)}
+    return _split_recursive(list(range(len(states))), [lbl for lbl, _ in states],
+                            close, sorted(owners))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +515,33 @@ class ProtocolVerificationError(RuntimeError):
         self.report = report
 
 
+def _broken_law(effects, mats):
+    """``(kind, detail)`` of the first law a node's effect matrices break:
+    they must sum to the identity and each must be a projector.  Every gate
+    is written ``not (error <= tol)`` so that NaN fails it."""
+    if not np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) <= PROB_TOL:
+        return "completeness", "effects do not sum to identity"
+    hermitian = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idempotent = np.abs(mats @ mats - mats).max(axis=(1, 2))
+    bad = np.flatnonzero(~((hermitian <= PROB_TOL) & (idempotent <= PROB_TOL)))
+    if bad.size:
+        return "not-projector", f"effect {effects[bad[0]].name}"
+    return None
+
+
 @dataclass
 class _Resource:
     kind: str
     endpoints: tuple
     labels: tuple
+
+
+class _Candidates(NamedTuple):
+    """The basis states that reach a node, as one stack."""
+
+    labels: tuple
+    stack: np.ndarray    # (n, D): flat states over the node's space
+    weights: np.ndarray  # (n,): probability of reaching the node, per state
 
 
 class _Walk:
@@ -522,28 +556,44 @@ class _Walk:
         self.n_leaves = 0
         self.leaf_strategies = []
         self.protocol_name = protocol_name
+        # effect matrices built during this walk; repeated subtrees reuse them
+        self.node_memo = {}
 
     def fail(self, path, kind, detail):
         self.failures.append({"node": path, "kind": kind, "detail": detail})
 
+    def node_matrices(self, node, space, acted):
+        """The node's ``(E, d, d)`` effect matrices and the first measurement
+        law they break (None when complete and projective), built once per
+        walk for each (effects, acted registers, dims)."""
+        dims = tuple(space.subsystem(n).dim for n in acted)
+        key = (node.effects, acted, dims)
+        if key not in self.node_memo:
+            d = prod(dims)
+            fixed = {e: materialize(e, (), space, acted) for e in node.effects if not e.is_rest}
+            mats = np.array([_remainder(d, fixed.values()) if e.is_rest else fixed[e]
+                             for e in node.effects]).reshape(len(node.effects), d, d)
+            self.node_memo[key] = mats, _broken_law(node.effects, mats)
+        return self.node_memo[key]
+
     # -- node handlers ------------------------------------------------------
 
-    def run(self, node, space, candidates, resources, acted_keys, path):
+    def run(self, node, space, cands, resources, acted_keys, path):
         if node is None:
             self.fail(path, "missing-branch", "outcome child was never provided")
             return
         if isinstance(node, AttachResource):
-            self.attach(node, space, candidates, resources, acted_keys, path)
+            self.attach(node, space, cands, resources, acted_keys, path)
         elif isinstance(node, MergeParties):
-            self.merge(node, space, candidates, resources, acted_keys, path)
+            self.merge(node, space, cands, resources, acted_keys, path)
         elif isinstance(node, Measure):
-            self.measure(node, space, candidates, resources, acted_keys, path)
+            self.measure(node, space, cands, resources, acted_keys, path)
         elif isinstance(node, (Identify, Distinguishable, Fail)):
-            self.leaf(node, space, candidates, resources, acted_keys, path)
+            self.leaf(node, space, cands, resources, acted_keys, path)
         else:
             self.fail(path, "unknown-node", repr(node))
 
-    def attach(self, node, space, candidates, resources, acted_keys, path):
+    def attach(self, node, space, cands, resources, acted_keys, path):
         owners = space.owners()
         for p in node.endpoints:
             if p not in owners:
@@ -558,12 +608,12 @@ class _Walk:
                     for lbl, d, owner in zip(node.labels, dims, node.endpoints)]
         new_space = space.extended(new_subs)
         amps = resource_amplitudes(node.kind)
-        new_candidates = [(lbl, np.kron(vec, amps), p) for lbl, vec, p in candidates]
-        self.run(node.child, new_space, new_candidates,
+        stack = (cands.stack[:, :, None] * amps).reshape(len(cands.labels), new_space.dim)
+        self.run(node.child, new_space, cands._replace(stack=stack),
                  resources + [_Resource(node.kind, node.endpoints, node.labels)],
                  acted_keys, path)
 
-    def merge(self, node, space, candidates, resources, acted_keys, path):
+    def merge(self, node, space, cands, resources, acted_keys, path):
         owners = space.owners()
         if node.source not in owners or node.destination not in owners:
             self.fail(path, "merge-party", f"{node.source}->{node.destination} not present")
@@ -571,23 +621,24 @@ class _Walk:
         # the teleported dimension is the joint support of the moved
         # registers over the surviving candidates, not the raw register size
         names = owners[node.source]
-        if candidates:
-            stack = np.hstack([space.split_axes(names, vec) for _, vec, _ in candidates])
-            moved_dim = int(np.linalg.matrix_rank(stack, tol=1e-8))
+        if cands.labels:
+            split = space.split_axes(names, cands.stack)  # (n, d_moved, d_rest)
+            support = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
+            moved_dim = int(np.linalg.matrix_rank(support, tol=1e-8))
         else:
             moved_dim = prod(space.subsystem(n).dim for n in names)
-        if abs(node.cost - log2(moved_dim)) > PROB_TOL:
+        if not abs(node.cost - log2(moved_dim)) <= PROB_TOL:  # NaN fails too
             self.fail(path, "merge-cost",
                       f"declared {node.cost} != log2({moved_dim})")
             return
-        reach = sum(p for _, _, p in candidates) * self.prior
+        reach = float(cands.weights.sum()) * self.prior
         key = (node.source, node.destination, node.cost)
         self.merges[key] = self.merges.get(key, 0.0) + reach
         new_space = space.reowned({node.source: node.destination})
-        self.run(node.child, new_space, candidates, resources, acted_keys,
+        self.run(node.child, new_space, cands, resources, acted_keys,
                  path + f"/merge({node.source}->{node.destination})")
 
-    def measure(self, node, space, candidates, resources, acted_keys, path):
+    def measure(self, node, space, cands, resources, acted_keys, path):
         self.n_measurements += 1
         owners = space.owners()
         acted = node.acted()
@@ -600,19 +651,10 @@ class _Walk:
             self.fail(path, "locality",
                       f"{node.actor} measures registers it does not hold: {stray}")
             return
-        mats = {}
-        for e in node.effects:
-            mats[e.name] = materialize(e, node.effects, space, acted)
-        d = prod(space.subsystem(n).dim for n in acted)
-        total = sum(mats.values())
-        if np.max(np.abs(total - np.eye(d))) > PROB_TOL:
-            self.fail(path, "completeness", "effects do not sum to identity")
+        mats, broken = self.node_matrices(node, space, acted)
+        if broken:
+            self.fail(path, *broken)
             return
-        for name, m in mats.items():
-            if np.max(np.abs(m - m.conj().T)) > PROB_TOL or \
-               np.max(np.abs(m @ m - m)) > PROB_TOL:
-                self.fail(path, "not-projector", f"effect {name}")
-                return
 
         # which resources does this node touch non-trivially?  (a remainder
         # effect restricts exactly what its siblings restrict)
@@ -622,58 +664,51 @@ class _Walk:
             if any(lbl in restricted for lbl in r.labels):
                 new_acted.add((r.kind, tuple(sorted(r.endpoints)), r.labels))
 
-        totals = [0.0] * len(candidates)
-        for e in node.effects:
-            m = mats[e.name]
-            survivors = []
-            for c, (lbl, vec, p) in enumerate(candidates):
-                p_out, post = born(space, acted, m, vec, PROB_TOL)
-                totals[c] += p_out
-                if post is not None:
-                    survivors.append((lbl, post, p * p_out))
-            if len(survivors) > 1:
-                stack = np.array([v for _, v, _ in survivors])
-                gram = np.abs(stack.conj() @ stack.T)
+        out = born(space, acted, mats, cands.stack, PROB_TOL)
+        for e, (effect, idx, posts) in enumerate(zip(node.effects, out.survivors, out.posts)):
+            labels = tuple(cands.labels[c] for c in idx)
+            if len(idx) > 1:
+                gram = np.abs(posts.conj() @ posts.T)
                 np.fill_diagonal(gram, 0.0)
                 worst = float(np.max(gram))
-                if worst > ORTHO_TOL:
+                if not worst <= ORTHO_TOL:
                     i, j = np.unravel_index(np.argmax(gram), gram.shape)
-                    self.fail(f"{path}/{e.name}", "orthogonality",
-                              f"survivors {survivors[i][0]} and {survivors[j][0]} "
+                    self.fail(f"{path}/{effect.name}", "orthogonality",
+                              f"survivors {labels[i]} and {labels[j]} "
                               f"overlap {worst:.3e}")
                     continue
-            self.run(node.children.get(e.name), space, survivors, resources,
-                     frozenset(new_acted), f"{path}/{e.name}")
+            survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx])
+            self.run(node.children.get(effect.name), space, survivors, resources,
+                     frozenset(new_acted), f"{path}/{effect.name}")
 
         # outcome probabilities must sum to one per incoming candidate
-        for (lbl, _, _), s in zip(candidates, totals):
-            if abs(s - 1.0) > PROB_TOL:
+        for lbl, s in zip(cands.labels, out.sums.tolist()):
+            if not abs(s - 1.0) <= PROB_TOL:
                 self.fail(path, "probability-sum", f"{lbl}: outcomes sum to {s}")
 
-    def leaf(self, node, space, candidates, resources, acted_keys, path):
+    def leaf(self, node, space, cands, resources, acted_keys, path):
         self.n_leaves += 1
+        labels = list(cands.labels)
         if isinstance(node, Fail):
-            if candidates:
-                self.fail(path, "fail-leaf",
-                          f"states reach a fail leaf: {[l for l, _, _ in candidates]}")
+            if labels:
+                self.fail(path, "fail-leaf", f"states reach a fail leaf: {labels}")
             return
         # charge consumed resources on this terminal branch
-        reach = sum(p for _, _, p in candidates) * self.prior
+        reach = float(cands.weights.sum()) * self.prior
         for r in resources:
             key = (r.kind, tuple(sorted(r.endpoints)), r.labels)
             if key in acted_keys:
                 akey = (r.kind, tuple(sorted(r.endpoints)))
                 self.consumption[akey] = self.consumption.get(akey, 0.0) + reach
         if isinstance(node, Identify):
-            if len(candidates) != 1 or candidates[0][0] != node.label:
+            if labels != [node.label]:
                 self.fail(path, "identify",
-                          f"expected only {node.label!r}, got "
-                          f"{[l for l, _, _ in candidates]}")
+                          f"expected only {node.label!r}, got {labels}")
                 return
-            self.identification[node.label] += candidates[0][2]
+            self.identification[node.label] += float(cands.weights[0])
             return
         # Distinguishable leaf
-        got = {lbl for lbl, _, _ in candidates}
+        got = set(labels)
         if got != set(node.labels):
             self.fail(path, "leaf-set",
                       f"declared {sorted(node.labels)}, surviving {sorted(got)}")
@@ -684,14 +719,14 @@ class _Walk:
             if (r.kind, tuple(sorted(r.endpoints)), r.labels) not in acted_keys
             for lbl in r.labels
         ]
-        states = [(lbl, Ket(space, vec)) for lbl, vec, _ in candidates]
+        states = [(lbl, Ket(space, vec)) for lbl, vec in zip(labels, cands.stack)]
         strategy = leaf_verify(states, ignore=untouched)
         if strategy is None:
             self.fail(path, "leaf-indistinguishable",
                       f"no splitting strategy for {sorted(got)}")
             return
         self.leaf_strategies.append((path, tuple(sorted(got)), strategy))
-        for lbl, _, p in candidates:
+        for lbl, p in zip(labels, cands.weights.tolist()):
             self.identification[lbl] += p
 
 
@@ -704,13 +739,14 @@ def verify_protocol(root, basis, name="protocol"):
     """Run every basis state through the tree and check all protocol laws."""
     walk = _Walk(basis, name)
     space = basis.space()
-    candidates = [(lbl, basis.state(lbl).joint(), 1.0) for lbl in basis.labels]
+    stack = np.array([basis.state(lbl).joint() for lbl in basis.labels])
+    cands = _Candidates(basis.labels, stack.reshape(len(basis), space.dim), np.ones(len(basis)))
     try:
-        walk.run(root, space, candidates, [], frozenset(), "root")
+        walk.run(root, space, cands, [], frozenset(), "root")
     except (KeyError, ValueError) as exc:
         walk.fail("root", "execution-error", str(exc))
     for lbl, p in walk.identification.items():
-        if abs(p - 1.0) > PROB_TOL:
+        if not abs(p - 1.0) <= PROB_TOL:
             walk.fail("total", "identification",
                       f"{lbl} identified with total probability {p}")
     ok = not walk.failures

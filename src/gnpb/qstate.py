@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over small labeled tensor-product spaces.
+"""Dense linear algebra over small labeled tensor-product spaces.
 
 Registers are identified by name, never by position: every embedding of an
 operator into the joint space goes through subsystem labels, which keeps
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -100,32 +101,43 @@ class CompositeSpace:
             held.setdefault(s.owner, []).append(s.name)
         return {p: tuple(ns) for p, ns in held.items()}
 
+    def _axes(self, front_names):
+        front = [self.axis(n) for n in front_names]
+        order = front + [i for i in range(len(self.dims)) if i not in front]
+        return order, prod(self.dims[a] for a in front)
+
     def split_axes(self, front_names, amplitudes):
-        """Reshape a flat vector to (dim(front), dim(rest)), front in given order."""
-        tensor = np.asarray(amplitudes).reshape(self.dims if self.dims else (1,))
-        front_axes = [self.axis(n) for n in front_names]
-        rest_axes = [i for i in range(len(self.dims)) if i not in front_axes]
-        moved = np.transpose(tensor, front_axes + rest_axes)
-        d_front = prod(self.dims[a] for a in front_axes) if front_axes else 1
-        return moved.reshape(d_front, -1)
+        """Reshape flat vectors to (dim(front), dim(rest)), front in given order.
+
+        ``amplitudes`` is one flat vector or a stack ``(..., dim)``; leading
+        axes are kept, so an ``(n, dim)`` stack becomes ``(n, d_front, d_rest)``.
+        """
+        amps = np.asarray(amplitudes)
+        lead = amps.shape[:-1]
+        order, d_front = self._axes(front_names)
+        k = len(lead)
+        tensor = amps.reshape(lead + self.dims)
+        moved = np.transpose(tensor, list(range(k)) + [k + a for a in order])
+        return moved.reshape(lead + (d_front, self.dim // d_front))
 
     def unsplit_axes(self, front_names, matrix):
-        """Inverse of :meth:`split_axes`: back to the flat amplitude vector."""
-        front_axes = [self.axis(n) for n in front_names]
-        rest_axes = [i for i in range(len(self.dims)) if i not in front_axes]
-        shaped = matrix.reshape([self.dims[a] for a in front_axes + rest_axes])
-        inverse = np.argsort(front_axes + rest_axes)
-        return np.transpose(shaped, inverse).reshape(-1)
+        """Inverse of :meth:`split_axes`: back to flat vectors (leading axes kept)."""
+        lead = matrix.shape[:-2]
+        order, _ = self._axes(front_names)
+        k = len(lead)
+        shaped = matrix.reshape(lead + tuple(self.dims[a] for a in order))
+        inverse = list(range(k)) + [k + a for a in np.argsort(order)]
+        return np.transpose(shaped, inverse).reshape(lead + (self.dim,))
 
 
 class Ket:
-    """A pure state: flat complex amplitudes over a composite space."""
+    """A pure state: flat amplitudes over a composite space (real or complex)."""
 
     def __init__(self, space, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(amplitudes)
+        amps = amps.astype(np.result_type(amps, float)).reshape(-1)  # a copy
         if amps.shape != (space.dim,):
             raise ValueError(f"amplitude length {amps.shape[0]} != space dim {space.dim}")
-        amps = amps.copy()
         amps.setflags(write=False)
         self.space = space
         self.amplitudes = amps
@@ -165,7 +177,7 @@ class KetExpr:
         levels = (self.i,) if self.j is None else (self.i, self.j)
         if not all(0 <= lvl < dim for lvl in levels):
             raise ValueError(f"ket levels {levels} out of range for dimension {dim}")
-        v = np.zeros(dim, dtype=complex)
+        v = np.zeros(dim)
         if self.j is None:
             v[self.i] = 1.0
         else:
@@ -182,19 +194,40 @@ class KetExpr:
         return KetExpr(a, b, self.sign)
 
 
-def born(space, acted, matrix, amplitudes, tol=TOL):
-    """Born rule for a projective effect on the named registers ``acted``.
+class Born(NamedTuple):
+    """Outcome of :func:`born`: E effects applied to a stack of n states."""
 
-    ``matrix`` acts on ``acted`` in the given order and ``amplitudes`` is a
-    flat vector over ``space``.  Returns ``(probability, post)``; ``post`` is
-    the normalized flat post-state, or None when the probability is at most
-    ``tol``.
+    probs: np.ndarray   # (E, n): probability of effect e on state c
+    sums: np.ndarray    # (n,): total probability of each state over the effects
+    survivors: tuple    # per effect: indices of the states with probability > tol
+    posts: Iterator     # per effect, in turn: (k, D) normalized post-states of those
+
+
+def born(space, acted, matrices, stack, tol=TOL):
+    """Born rule for projective effects on the named registers ``acted``.
+
+    ``matrices`` is a sequence of E effect matrices acting on ``acted`` in
+    the given order, and ``stack`` is an ``(n, D)`` array of flat vectors
+    over ``space``.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
+    reduced state of the acted registers, so only the (effect, state) pairs
+    whose probability exceeds ``tol`` are projected.  Each effect's
+    post-states are built when the caller reaches them, so the buffers of
+    one effect are alive at a time.  The dtype follows the inputs: real
+    effects on real states stay real.
     """
-    projected = matrix @ space.split_axes(acted, amplitudes)
-    prob = float(np.linalg.norm(projected) ** 2)
-    if prob > tol:
-        return prob, space.unsplit_axes(acted, projected) / np.sqrt(prob)
-    return prob, None
+    mats = np.asarray(matrices)
+    split = space.split_axes(acted, stack)                     # (n, d, r)
+    rho = split @ split.conj().transpose(0, 2, 1)              # (n, d, d)
+    probs = np.einsum("eij,cji->ec", mats, rho).real           # tr(M_e rho_c)
+    survivors = tuple(np.flatnonzero(row > tol) for row in probs)
+
+    def posts():
+        for m, row, idx in zip(mats, probs, survivors):
+            projected = m @ split[idx]                         # (k, d, r)
+            projected /= np.sqrt(row[idx])[:, None, None]
+            yield space.unsplit_axes(acted, projected)
+
+    return Born(probs, probs.sum(axis=0), survivors, posts())
 
 
 def schmidt_ebits(state, cut, tol=TOL):

@@ -187,3 +187,31 @@ def test_out_of_range_level_is_execution_error():
     report = verify_protocol(doc.root, get_basis(doc.basis), "mismatch")
     assert not report.ok
     assert any(f["kind"] == "execution-error" for f in report.failures)
+
+
+def test_json_floats_have_twelve_digits(capsys):
+    # the sums behind these fields carry rounding noise in the last bits
+    code, out, _ = run(capsys, "--json", "account", "prop8")
+    assert code == 0
+    assert '"expected_uses": 0.125,' in out and '"expected_uses": 1.0,' in out
+    assert "0.12499999" not in out and "0.99999999" not in out
+
+
+def test_json_rounds_numpy_scalars_and_nested_lists(capsys):
+    import numpy as np
+
+    from gnpb.cli import _emit_json
+    _emit_json({"x": [np.float64(1 / 3), [np.float64(-4.0715946129652257e-16)]],
+                "n": np.int64(3), "ok": np.bool_(True), "f": 0.1 + 0.2})
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"x": [0.333333333333, [-4.07159461297e-16]], "n": 3, "ok": True, "f": 0.3}
+
+
+def test_nan_merge_cost_fails(tmp_path, capsys):
+    from pathlib import Path
+    text = (Path(__file__).resolve().parent.parent / "protocols" / "prop5_II33.pdl").read_text()
+    path = tmp_path / "nan_cost.pdl"
+    path.write_text(text.replace("cost 1.584962500721156", "cost nan"))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "FAIL" in out and "merge-cost" in out

@@ -350,3 +350,101 @@ def test_leaf_verify_strip_preserves_complex_phases():
     # make their stripped factors identical and the strategy impossible
     flat = tree.text()
     assert "u" in flat and "v" in flat
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 9e-9, 1e-7, 1e-3])
+def test_product_test_decides_like_svd(dtype, eps):
+    """The SVD-free product test gives the SVD's verdict and factor rays.
+
+    At 9e-9 the pivot-cross residual exceeds RANK_TOL although s[1] does
+    not, so those states take the SVD fallback and still come out product.
+    """
+    from gnpb.engine import _product_factors
+    from gnpb.qstate import RANK_TOL, CompositeSpace, Subsystem
+
+    rng = np.random.default_rng(11)
+
+    def unit(*shape):
+        g = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+    space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("B", 4, "B")])
+    n = 6
+    a, b = unit(n, 3), unit(n, 4)
+    # a second direction orthogonal to the first on both sides, on half the states
+    a2 = unit(n, 3)
+    a2 -= np.sum(a.conj() * a2, axis=1, keepdims=True) * a
+    b2 = unit(n, 4)
+    b2 -= np.sum(b.conj() * b2, axis=1, keepdims=True) * b
+    a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
+    b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
+    size = eps * (np.arange(n) % 2)
+    mats = a[:, :, None] * b[:, None, :] + size[:, None, None] * a2[:, :, None] * b2[:, None, :]
+    mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+    stack = mats.reshape(n, 12).astype(dtype)
+
+    got = _product_factors(space, [("A",), ("B",)], stack)
+    svds = [np.linalg.svd(m) for m in mats]
+    assert (got is None) == any(s[1] > RANK_TOL for _, s, _ in svds)
+    if got is not None:
+        fa, fb = got
+        assert fa.dtype == fb.dtype == np.dtype(dtype)
+        for c, (u, _, vh) in enumerate(svds):
+            assert abs(np.vdot(u[:, 0], fa[c])) == pytest.approx(1.0, abs=1e-9)
+            assert abs(np.vdot(vh[0], fb[c])) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_product_test_on_three_groups():
+    from gnpb.engine import _product_factors
+    from gnpb.qstate import CompositeSpace, Subsystem
+
+    space = CompositeSpace([Subsystem("A", 2, "A"), Subsystem("x", 2, "A"),
+                            Subsystem("B", 3, "B"), Subsystem("y", 2, "B")])
+    a, x, b, y = np.array([1, 1j]) / np.sqrt(2), comp(0, 2), eta(-1), np.array([0.6, 0.8])
+    product = np.kron(np.kron(np.kron(a, x), b), y)
+    phi = np.zeros(4)
+    phi[[0, 3]] = 1 / np.sqrt(2)  # x and y share an EPR pair
+    entangled = space.unsplit_axes(("A", "B", "x", "y"), np.kron(np.kron(a, b), phi)[:, None])
+    groups = [("A",), ("B",), ("x", "y")]
+    fa, fb, fxy = _product_factors(space, groups, np.array([product]))
+    assert abs(np.vdot(fa[0], a)) == pytest.approx(1.0)
+    assert abs(np.vdot(fb[0], b)) == pytest.approx(1.0)
+    assert abs(np.vdot(fxy[0], np.kron(x, y))) == pytest.approx(1.0)
+    # the EPR pair inside one group leaves the state product across the groups
+    assert _product_factors(space, groups, np.array([product, entangled])) is not None
+    parties = [("A", "x"), ("B", "y")]
+    assert _product_factors(space, parties, np.array([product])) is not None
+    assert _product_factors(space, parties, np.array([product, entangled])) is None
+
+
+def test_effect_matrices_built_once_per_walk(monkeypatch):
+    import gnpb.engine as eng
+
+    built = []
+    real = eng.materialize
+    monkeypatch.setattr(eng, "materialize", lambda effect, *rest: built.append(effect)
+                        or real(effect, *rest))
+    proto = get_protocol("prop7")
+    first = proto.verify()
+    n_first = len(built)
+    assert first.ok and proto.verify().ok
+    assert n_first < first.n_measurements      # repeated nodes reuse their matrices
+    assert len(built) == 2 * n_first           # nothing is kept from one walk to the next
+    assert not any(e.is_rest for e in built)   # a remainder comes from its siblings' matrices
+
+
+def test_complex_basis_walks_like_the_real_one():
+    """A phase of i on every state's first factor makes the walk complex."""
+    basis = get_basis("B_II_33")
+    doc = json.loads(basis.to_json())
+    for state in doc["states"]:
+        state["factors"][0] = [[-im, re] for re, im in state["factors"][0]]
+    phased = OrthoProductBasis.from_json(json.dumps(doc), name=basis.name)
+    assert phased.states[0].joint().dtype == np.complex128
+    real, cplx = (get_protocol("prop6").verify(b) for b in (basis, phased))
+    assert cplx.ok and real.ok
+    assert (cplx.n_measurements, cplx.n_leaves) == (real.n_measurements, real.n_leaves)
+    assert cplx.identification == pytest.approx(real.identification)
+    assert cplx.ledger.total_ebits == pytest.approx(real.ledger.total_ebits)
+    assert [p for p, _, _ in cplx.leaf_strategies] == [p for p, _, _ in real.leaf_strategies]

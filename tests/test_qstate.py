@@ -74,6 +74,13 @@ def _proj(vec):
     return np.outer(v, v.conj())
 
 
+def _born1(space, acted, matrix, vec, tol=1e-9):
+    """One effect on one state: (probability, post-state or None)."""
+    out = born(space, acted, [matrix], np.asarray(vec)[None], tol)
+    post = next(out.posts)[0] if len(out.survivors[0]) else None
+    return float(out.probs[0, 0]), post
+
+
 def _space(*dims):
     return CompositeSpace([Subsystem(n, d, n) for n, d in zip("ABC", dims)])
 
@@ -81,7 +88,7 @@ def _space(*dims):
 def test_apply_effect_eigenstate():
     space = _space(4, 4, 4)
     state = ProductState("300", (comp(3, 4), comp(0, 4), comp(0, 4))).joint()
-    p, post = born(space, ("A",), _proj([0, 0, 0, 1]), state)
+    p, post = _born1(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == pytest.approx(1.0)
     assert abs(np.vdot(post, state)) == pytest.approx(1.0)
 
@@ -89,7 +96,7 @@ def test_apply_effect_eigenstate():
 def test_apply_effect_annihilated():
     space = _space(4, 4, 4)
     state = ProductState("200", (comp(2, 4), comp(0, 4), comp(0, 4))).joint()
-    p, post = born(space, ("A",), _proj([0, 0, 0, 1]), state)
+    p, post = _born1(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == 0.0 and post is None
 
 
@@ -103,7 +110,7 @@ def test_apply_effect_twist_break_on_epr():
     joint = np.kron(eta(1), phi)
     m = np.kron(_proj([1, 0, 0]) + _proj([0, 1, 0]), _proj([1, 0])) \
         + np.kron(_proj([0, 0, 1]), _proj([0, 1]))
-    p, post = born(space, ("B", "b1"), m, joint)
+    p, post = _born1(space, ("B", "b1"), m, joint)
     expected = np.kron(eta(1), np.array([1, 0, 0, 0]))
     assert p == pytest.approx(0.5)
     assert abs(np.vdot(expected, post)) == pytest.approx(1.0)
@@ -112,8 +119,8 @@ def test_apply_effect_twist_break_on_epr():
 def test_apply_effect_idempotent():
     space = _space(3, 3)
     state = np.kron(eta(1), xi(-1))
-    p, post = born(space, ("A",), _proj(eta(1)), state)
-    p2, post2 = born(space, ("A",), _proj(eta(1)), post)
+    p, post = _born1(space, ("A",), _proj(eta(1)), state)
+    p2, post2 = _born1(space, ("A",), _proj(eta(1)), post)
     assert p == pytest.approx(1.0) and p2 == pytest.approx(1.0)
     assert abs(np.vdot(post, post2)) == pytest.approx(1.0)
 
@@ -121,7 +128,7 @@ def test_apply_effect_idempotent():
 def test_born_reports_probability_below_tolerance():
     # the walk sums every outcome probability, including the cut-off ones
     space = _space(2)
-    p, post = born(space, ("A",), _proj([0, 1]), np.array([1.0, 1e-6]), tol=1e-9)
+    p, post = _born1(space, ("A",), _proj([0, 1]), np.array([1.0, 1e-6]), tol=1e-9)
     assert p == pytest.approx(1e-12) and post is None
 
 
@@ -184,10 +191,70 @@ def test_complete_measurement_probabilities_sum_to_one(u, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(g)
-    total = sum(born(space, ("y",), _proj(q[:, k]), u)[0] for k in range(3))
+    total = sum(_born1(space, ("y",), _proj(q[:, k]), u)[0] for k in range(3))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pairwise_max_overlap():
     vecs = [comp(0, 3), comp(1, 3), eta(1)]
     assert pairwise_max_overlap(vecs) == pytest.approx(1 / np.sqrt(2))
+
+
+@st.composite
+def born_cases(draw):
+    """A small space, an acted subset, a complete projective measurement on
+    it and a stack of states; real or complex throughout."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    space = CompositeSpace([Subsystem(n, d, n) for n, d in zip("ABC", dims)])
+    acted = tuple(draw(st.permutations(space.names))[:draw(st.integers(1, len(dims)))])
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        g = rng.normal(size=shape)
+        return g + 1j * rng.normal(size=shape) if is_complex else g
+
+    d = int(np.prod([space.subsystem(n).dim for n in acted]))
+    q, _ = np.linalg.qr(gaussian(d, d))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
+    mats = [q[:, a:b] @ q[:, a:b].conj().T for a, b in zip([0] + cuts, cuts + [d])]
+    stack = gaussian(draw(st.integers(1, 4)), space.dim)
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    tol = draw(st.sampled_from([1e-9, 0.2]))
+    return space, acted, mats, stack, tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(born_cases())
+def test_born_stack_matches_one_projection_per_row(case):
+    space, acted, mats, stack, tol = case
+    out = born(space, acted, mats, stack, tol)
+    assert out.probs.shape == (len(mats), len(stack))
+    assert np.allclose(out.sums, 1.0, rtol=0, atol=1e-12)
+    for e, (m, idx, posts) in enumerate(zip(mats, out.survivors, out.posts)):
+        projected = [m @ space.split_axes(acted, row) for row in stack]
+        expected = np.array([np.linalg.norm(x) ** 2 for x in projected])
+        assert np.allclose(out.probs[e], expected, rtol=0, atol=1e-12)
+        assert np.array_equal(idx, np.flatnonzero(expected > tol))
+        assert posts.shape == (len(idx), space.dim)
+        assert posts.dtype == np.result_type(m, stack)
+        assert np.allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
+        for c, post in zip(idx, posts):
+            want = space.unsplit_axes(acted, projected[c]) / np.sqrt(expected[c])
+            assert np.allclose(post, want, rtol=0, atol=1e-12)
+
+
+def test_split_axes_keeps_leading_stack_axis():
+    space = _space(2, 3, 2)
+    stack = np.arange(3 * space.dim, dtype=float).reshape(3, space.dim)
+    split = space.split_axes(("C", "A"), stack)
+    assert split.shape == (3, 4, 3)
+    for row, mat in zip(stack, split):
+        assert np.array_equal(mat, space.split_axes(("C", "A"), row))
+    assert np.array_equal(space.unsplit_axes(("C", "A"), split), stack)
+
+
+def test_dtype_follows_inputs():
+    assert KetExpr(0, 1, -1).vector(3).dtype == np.float64
+    assert Ket(_space(2), [1, 0]).amplitudes.dtype == np.float64
+    assert Ket(_space(2), [1j, 0]).amplitudes.dtype == np.complex128
