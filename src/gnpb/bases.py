@@ -15,6 +15,7 @@ from math import log2, prod
 import numpy as np
 
 from .qstate import (
+    RANK_TOL,
     TOL,
     CompositeSpace,
     Ket,
@@ -148,6 +149,8 @@ class OrthoProductBasis:
             factors = tuple(
                 np.array([complex(re, im) for re, im in f]) for f in entry["factors"]
             )
+            if not all(np.isfinite(f).all() for f in factors):  # json reads NaN, Infinity
+                raise ValueError(f"state {entry['label']!r} has a non-finite amplitude")
             states.append(ProductState(entry["label"], factors))
         return cls(name, parties, states)
 
@@ -185,7 +188,7 @@ class IntegrityReport:
 def check_basis(basis):
     """Recompute cardinality, pairwise overlaps and span rank from scratch."""
     mat = basis.joint_matrix()
-    rank = int(np.linalg.matrix_rank(mat, tol=1e-8)) if len(mat) else 0
+    rank = int(np.linalg.matrix_rank(mat, tol=RANK_TOL)) if len(mat) else 0
     return IntegrityReport(
         name=basis.name,
         cardinality=len(basis),

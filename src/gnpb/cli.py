@@ -16,7 +16,8 @@ import numpy as np
 
 from . import engine, opm, pdl
 from .bases import BUILTIN_BASES, OrthoProductBasis, check_basis, get_basis, render_tiles
-from .protocols import BUILTIN_PROTOCOLS, NamedProtocol, get_protocol
+from .protocols import BUILTIN_PROTOCOLS, get_protocol
+from .qstate import TOL
 
 
 class UsageError(Exception):
@@ -63,33 +64,37 @@ def _load_basis(ref):
     raise UsageError(f"unknown basis {ref!r} (not a builtin, not a .json file)")
 
 
-def _load_protocol(ref, basis_override=None):
+def _load_protocol(ref, basis_name=None):
+    """``(name, tree, basis)`` of a built-in protocol or a ``.pdl`` file; the
+    basis (``basis_name`` when given) must have the protocol's parties."""
     if ref in BUILTIN_PROTOCOLS:
         proto = get_protocol(ref)
-        if basis_override:
-            proto = NamedProtocol(proto.name, basis_override, proto.declared, proto.root)
-        return proto
-    path = Path(ref)
-    if path.suffix == ".pdl" and path.exists():
+        name, root, source, own = proto.name, proto.root, ref, proto.basis()
+        parties = own.parties
+    else:
+        path = Path(ref)
+        if not (path.suffix == ".pdl" and path.exists()):
+            raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
         doc = pdl.parse(path.read_text())
-        proto = NamedProtocol(path.stem, basis_override or doc.basis, (), doc.root)
-        try:
-            parties = proto.basis().parties
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
-        if dict(doc.parties) != dict(parties):
-            header = " ".join(f"{p}:{d}" for p, d in doc.parties)
-            target = " ".join(f"{p}:{d}" for p, d in parties)
-            raise UsageError(f"{path.name} declares parties {{ {header} }} "
-                             f"but basis {proto.basis_name} has {{ {target} }}")
-        return proto
-    raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
+        name, root, source, parties = path.stem, doc.root, path.name, doc.parties
+        basis_name, own = basis_name or doc.basis, None
+    try:
+        basis = get_basis(basis_name) if basis_name else own
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+    if dict(parties) != dict(basis.parties):
+        header = " ".join(f"{p}:{d}" for p, d in parties)
+        target = " ".join(f"{p}:{d}" for p, d in basis.parties)
+        raise UsageError(f"{source} declares parties {{ {header} }} "
+                         f"but basis {basis.name} has {{ {target} }}")
+    return name, root, basis
 
 
-def _apply_tol(tol):
-    if tol is not None:
-        engine.PROB_TOL = tol
-        engine.ORTHO_TOL = 10.0 * tol
+def tolerance(text):
+    tol = float(text)  # argparse reports a ValueError as a usage error
+    if not 0 < tol < 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {text}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    proto = _load_protocol(args.protocol, args.basis)
-    report = proto.verify()
+    name, root, basis = _load_protocol(args.protocol, args.basis)
+    report = engine.verify_protocol(root, basis, name, args.tol)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -154,16 +159,16 @@ def cmd_verify(args):
 
 
 def cmd_account(args):
-    proto = _load_protocol(args.protocol, args.basis)
-    report = proto.verify()
+    name, root, basis = _load_protocol(args.protocol, args.basis)
+    report = engine.verify_protocol(root, basis, name, args.tol)
     if not report.ok:
-        print(f"protocol {proto.name} fails verification; no ledger", file=sys.stderr)
+        print(f"protocol {name} fails verification; no ledger", file=sys.stderr)
         return 2
     ledger = report.ledger
     if args.json:
         _emit_json(ledger.to_dict())
     else:
-        print(f"protocol {proto.name} on {report.basis}: entanglement ledger")
+        print(f"protocol {name} on {report.basis}: entanglement ledger")
         for row in ledger.rows:
             unit = "GHZ" if row.kind == "GHZ" else f"{_fmt(row.ebits_per_use)} ebits/use"
             total = "" if row.ebits is None else f" = {_fmt(row.ebits)} ebits"
@@ -213,8 +218,8 @@ def cmd_list(args):
 def build_parser():
     parser = _Parser(prog="gnpb", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the probability tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=tolerance, default=TOL,
+                        help="verification tolerance in (0, 1) (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-basis", help="orthogonality/completeness report")
@@ -247,10 +252,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    saved_tol = engine.PROB_TOL, engine.ORTHO_TOL
     try:
         args = parser.parse_args(argv)
-        _apply_tol(args.tol)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -258,8 +261,6 @@ def main(argv=None):
     except pdl.PdlError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        engine.PROB_TOL, engine.ORTHO_TOL = saved_tol
 
 
 if __name__ == "__main__":

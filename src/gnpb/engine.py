@@ -26,9 +26,6 @@ import numpy as np
 from .bases import RESOURCE_KINDS, resource_amplitudes, resource_ebits
 from .qstate import RANK_TOL, TOL, Ket, KetExpr, Subsystem, born
 
-ORTHO_TOL = RANK_TOL  # pairwise orthogonality of surviving post-states
-PROB_TOL = TOL        # probability sums, completeness, identification totals
-
 
 # ---------------------------------------------------------------------------
 # projector expressions (the P[...] calculus used by all protocols)
@@ -386,15 +383,15 @@ def _split_recursive(idxs, labels, close, party_order):
     return None
 
 
-def leaf_verify(states, ignore=()):
+def leaf_verify(states, ignore=(), tol=TOL):
     """Search for a sequential local strategy distinguishing product states.
 
     ``states`` is a list of ``(label, Ket)`` on a shared space; each party
     holds the registers it owns.  Returns a strategy tree, or None when the
     states are not all product across parties (after detaching the
     ``ignore`` registers, which must carry one shared state) or no sequence
-    of orthogonal-subspace splits separates them.  The check is sufficient,
-    never complete.
+    of orthogonal-subspace splits separates them (local factors overlap
+    above ``10 * tol``).  The check is sufficient, never complete.
     """
     if not states:
         return StrategyNode((), None, ())
@@ -408,7 +405,7 @@ def leaf_verify(states, ignore=()):
     shared = factors[-1]
     if drop and not np.all(np.abs(shared.conj() @ shared[0]) >= 1 - RANK_TOL):
         return None
-    close = {p: (np.abs(f.conj() @ f.T) > ORTHO_TOL).tolist() for p, f in zip(owners, factors)}
+    close = {p: (np.abs(f.conj() @ f.T) > 10 * tol).tolist() for p, f in zip(owners, factors)}
     return _split_recursive(list(range(len(states))), [lbl for lbl, _ in states],
                             close, sorted(owners))
 
@@ -515,15 +512,15 @@ class ProtocolVerificationError(RuntimeError):
         self.report = report
 
 
-def _broken_law(effects, mats):
+def _broken_law(effects, mats, tol):
     """``(kind, detail)`` of the first law a node's effect matrices break:
     they must sum to the identity and each must be a projector.  Every gate
     is written ``not (error <= tol)`` so that NaN fails it."""
-    if not np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) <= PROB_TOL:
+    if not np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) <= tol:
         return "completeness", "effects do not sum to identity"
     hermitian = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idempotent = np.abs(mats @ mats - mats).max(axis=(1, 2))
-    bad = np.flatnonzero(~((hermitian <= PROB_TOL) & (idempotent <= PROB_TOL)))
+    bad = np.flatnonzero(~((hermitian <= tol) & (idempotent <= tol)))
     if bad.size:
         return "not-projector", f"effect {effects[bad[0]].name}"
     return None
@@ -545,8 +542,8 @@ class _Candidates(NamedTuple):
 
 
 class _Walk:
-    def __init__(self, basis, protocol_name):
-        self.basis = basis
+    def __init__(self, basis, tol):
+        self.tol = tol
         self.prior = 1.0 / len(basis)
         self.failures = []
         self.identification = {lbl: 0.0 for lbl in basis.labels}
@@ -555,7 +552,6 @@ class _Walk:
         self.n_measurements = 0
         self.n_leaves = 0
         self.leaf_strategies = []
-        self.protocol_name = protocol_name
         # effect matrices built during this walk; repeated subtrees reuse them
         self.node_memo = {}
 
@@ -573,7 +569,7 @@ class _Walk:
             fixed = {e: materialize(e, (), space, acted) for e in node.effects if not e.is_rest}
             mats = np.array([_remainder(d, fixed.values()) if e.is_rest else fixed[e]
                              for e in node.effects]).reshape(len(node.effects), d, d)
-            self.node_memo[key] = mats, _broken_law(node.effects, mats)
+            self.node_memo[key] = mats, _broken_law(node.effects, mats, self.tol)
         return self.node_memo[key]
 
     # -- node handlers ------------------------------------------------------
@@ -624,10 +620,10 @@ class _Walk:
         if cands.labels:
             split = space.split_axes(names, cands.stack)  # (n, d_moved, d_rest)
             support = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
-            moved_dim = int(np.linalg.matrix_rank(support, tol=1e-8))
+            moved_dim = int(np.linalg.matrix_rank(support, tol=RANK_TOL))
         else:
             moved_dim = prod(space.subsystem(n).dim for n in names)
-        if not abs(node.cost - log2(moved_dim)) <= PROB_TOL:  # NaN fails too
+        if not abs(node.cost - log2(moved_dim)) <= self.tol:  # NaN fails too
             self.fail(path, "merge-cost",
                       f"declared {node.cost} != log2({moved_dim})")
             return
@@ -664,14 +660,14 @@ class _Walk:
             if any(lbl in restricted for lbl in r.labels):
                 new_acted.add((r.kind, tuple(sorted(r.endpoints)), r.labels))
 
-        out = born(space, acted, mats, cands.stack, PROB_TOL)
+        out = born(space, acted, mats, cands.stack, self.tol)
         for e, (effect, idx, posts) in enumerate(zip(node.effects, out.survivors, out.posts)):
             labels = tuple(cands.labels[c] for c in idx)
             if len(idx) > 1:
                 gram = np.abs(posts.conj() @ posts.T)
                 np.fill_diagonal(gram, 0.0)
                 worst = float(np.max(gram))
-                if not worst <= ORTHO_TOL:
+                if not worst <= 10 * self.tol:
                     i, j = np.unravel_index(np.argmax(gram), gram.shape)
                     self.fail(f"{path}/{effect.name}", "orthogonality",
                               f"survivors {labels[i]} and {labels[j]} "
@@ -683,7 +679,7 @@ class _Walk:
 
         # outcome probabilities must sum to one per incoming candidate
         for lbl, s in zip(cands.labels, out.sums.tolist()):
-            if not abs(s - 1.0) <= PROB_TOL:
+            if not abs(s - 1.0) <= self.tol:
                 self.fail(path, "probability-sum", f"{lbl}: outcomes sum to {s}")
 
     def leaf(self, node, space, cands, resources, acted_keys, path):
@@ -720,7 +716,7 @@ class _Walk:
             for lbl in r.labels
         ]
         states = [(lbl, Ket(space, vec)) for lbl, vec in zip(labels, cands.stack)]
-        strategy = leaf_verify(states, ignore=untouched)
+        strategy = leaf_verify(states, ignore=untouched, tol=self.tol)
         if strategy is None:
             self.fail(path, "leaf-indistinguishable",
                       f"no splitting strategy for {sorted(got)}")
@@ -735,9 +731,10 @@ def _baseline_ebits(basis):
     return sum(costs) - max(costs)
 
 
-def verify_protocol(root, basis, name="protocol"):
-    """Run every basis state through the tree and check all protocol laws."""
-    walk = _Walk(basis, name)
+def verify_protocol(root, basis, name="protocol", tol=TOL):
+    """Run every basis state through the tree and check all protocol laws
+    (thresholds: ``docs/report-schema.md``)."""
+    walk = _Walk(basis, tol)
     space = basis.space()
     stack = np.array([basis.state(lbl).joint() for lbl in basis.labels])
     cands = _Candidates(basis.labels, stack.reshape(len(basis), space.dim), np.ones(len(basis)))
@@ -746,7 +743,7 @@ def verify_protocol(root, basis, name="protocol"):
     except (KeyError, ValueError) as exc:
         walk.fail("root", "execution-error", str(exc))
     for lbl, p in walk.identification.items():
-        if not abs(p - 1.0) <= PROB_TOL:
+        if not abs(p - 1.0) <= tol:
             walk.fail("total", "identification",
                       f"{lbl} identified with total probability {p}")
     ok = not walk.failures

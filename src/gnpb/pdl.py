@@ -108,7 +108,10 @@ def _lex(text):
             continue
         if ch.isalnum() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
+            while j < n and (text[j].isalnum() or text[j] in "_." or (
+                    # the signed exponent of a number, as in 1e-05
+                    text[j] in "+-" and text[j - 1] in "eE" and text[i].isdigit()
+                    and text[j + 1:j + 2].isdigit())):
                 j += 1
             word = text[i:j]
             kind = "NUMBER" if "." in word else "ATOM"

@@ -145,13 +145,6 @@ class Ket:
     def __repr__(self):
         return f"Ket(dim={self.space.dim})"
 
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol=TOL):
-        return abs(self.norm - 1.0) < tol
-
 
 @dataclass(frozen=True)
 class KetExpr:
@@ -230,12 +223,12 @@ def born(space, acted, matrices, stack, tol=TOL):
     return Born(probs, probs.sum(axis=0), survivors, posts())
 
 
-def schmidt_ebits(state, cut, tol=TOL):
+def schmidt_ebits(state, cut):
     """Base-2 entanglement entropy of a normalized pure state across a cut.
 
     ``cut`` names the subsystems on one side; the other side is the rest.
     """
-    if not state.is_normalized(1e-6):
+    if not abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-6:
         raise ValueError("schmidt_ebits expects a normalized state")
     names = set(cut)
     all_names = set(state.space.names)
@@ -245,7 +238,7 @@ def schmidt_ebits(state, cut, tol=TOL):
                                  state.amplitudes)
     svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals**2
-    probs = probs[probs > tol]
+    probs = probs[probs > TOL]
     return float(-np.sum(probs * np.log2(probs)))
 
 

@@ -117,12 +117,14 @@ def test_check_basis_unknown(capsys):
 
 
 def test_tol_override_still_passes(capsys):
-    import gnpb.engine as eng
-    defaults = (eng.PROB_TOL, eng.ORTHO_TOL)
     code, out, _ = run(capsys, "--tol", "1e-7", "verify", "prop5_II33")
     assert code == 0 and "PASS" in out
-    # the override is scoped to one main() call
-    assert (eng.PROB_TOL, eng.ORTHO_TOL) == defaults
+    # the override is scoped to one main() call: prop8's identification
+    # totals miss 1 by about 1e-15, which only the tight tolerance sees
+    code, out, _ = run(capsys, "--tol", "1e-15", "verify", "prop8")
+    assert code == 2 and "identification" in out
+    code, out, _ = run(capsys, "verify", "prop8")
+    assert code == 0 and "PASS" in out
 
 
 def _basis_doc(*factors):
@@ -132,6 +134,8 @@ def _basis_doc(*factors):
 
 
 WRONG_DIM = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]])
+NAN_AMPLITUDE = _basis_doc([[float("nan"), 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
+INF_AMPLITUDE = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, float("inf")]], [[1, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -142,6 +146,21 @@ WRONG_DIM = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 
     pytest.param(("classify", "FILE"), WRONG_DIM, id="classify-wrong-dim"),
     pytest.param(("tiles", "B_II_33", "--cut", "AA|BC"), None, id="tiles-repeated-party"),
     pytest.param(("tiles", "B_II_33", "--cut", "A|BC"), None, id="tiles-two-column-parties"),
+    pytest.param(("check-basis", "FILE"), NAN_AMPLITUDE, id="check-basis-nan"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), NAN_AMPLITUDE, id="tiles-nan"),
+    pytest.param(("check-basis", "FILE"), INF_AMPLITUDE, id="check-basis-inf"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), INF_AMPLITUDE, id="tiles-inf"),
+    pytest.param(("--tol", "nan", "verify", "prop5_II33"), None, id="tol-nan"),
+    pytest.param(("--tol", "-1", "verify", "prop5_II33"), None, id="tol-negative"),
+    pytest.param(("--tol", "inf", "verify", "prop5_II33"), None, id="tol-inf"),
+    pytest.param(("--tol", "0", "verify", "prop5_II33"), None, id="tol-zero"),
+    pytest.param(("--tol", "1", "account", "prop5_II33"), None, id="tol-one"),
+    pytest.param(("verify", "prop7", "--basis", "nope"), None, id="verify-unknown-basis"),
+    pytest.param(("account", "prop7", "--basis", "nope"), None, id="account-unknown-basis"),
+    pytest.param(("verify", "prop5_II33", "--basis", "bennett_3x3"), None,
+                 id="verify-basis-wrong-parties"),
+    pytest.param(("account", "prop5_II33", "--basis", "bennett_3x3"), None,
+                 id="account-basis-wrong-parties"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
     path = tmp_path / "basis.json"

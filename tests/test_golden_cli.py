@@ -2,10 +2,11 @@
 
 ``golden_cli.json`` maps each command line to its exit code and stdout:
 ``verify`` and ``account``, text and ``--json``, of the ten built-in
-protocols and of the three runs that must fail.  A change to the walk's
-arithmetic must leave every byte alone.  After a deliberate change to a
-report, regenerate the file with ``PYTHONPATH=src python tests/test_golden_cli.py``
-and review the diff.
+protocols and of the three runs that must fail, and ``verify`` of five of
+them under a tight and a loose ``--tol`` (at 1e-15 ``prop8`` fails its
+identification totals).  A change to the walk's arithmetic must leave every
+byte alone.  After a deliberate change to a report, regenerate the file
+with ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
 """
 
 import contextlib
@@ -24,10 +25,17 @@ FAILING = (("prop6", "B_IIb_33"), ("prop7", "B_II_33"), ("prop8", "B_I_43"))
 TARGETS = [(name,) for name in BUILTIN_PROTOCOLS] + [
     (name, "--basis", basis) for name, basis in FAILING
 ]
+TOL_TARGETS = [("prop7",), ("prop8",), ("remark2",), ("typeI_43",),
+               ("prop6", "--basis", "B_IIb_33")]
 ARGVS = [
     fmt + [cmd, *target]
     for target in TARGETS
     for cmd in ("verify", "account")
+    for fmt in ([], ["--json"])
+] + [
+    ["--tol", tol, *fmt, "verify", *target]
+    for tol in ("1e-15", "1e-3")
+    for target in TOL_TARGETS
     for fmt in ([], ["--json"])
 ]
 
