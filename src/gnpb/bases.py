@@ -8,7 +8,6 @@ recomputes it from the amplitudes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import log2, prod
 
@@ -126,6 +125,8 @@ class OrthoProductBasis:
     # -- JSON interchange ---------------------------------------------------
 
     def to_json(self):
+        import json  # JSON documents only: a verify process never loads it
+
         doc = {
             "parties": [{"name": p, "dim": d} for p, d in self.parties],
             "states": [
@@ -142,16 +143,39 @@ class OrthoProductBasis:
 
     @classmethod
     def from_json(cls, text, name="imported"):
+        """Read a basis document; every factor comes back unit-normalized.
+
+        Raises ValueError for a document that cannot hold a product basis:
+        a party dim below 1, a repeated party name, a non-string or
+        repeated label, or a factor whose norm is zero or not finite (a
+        NaN or Infinity amplitude, or one so large that the norm overflows).
+        """
+        import json
+
         doc = json.loads(text)
         parties = [(p["name"], int(p["dim"])) for p in doc["parties"]]
+        names = [p for p, _ in parties]
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated party name in {names}")
+        for p, d in parties:
+            if d < 1:
+                raise ValueError(f"party {p!r} has dim {d}, below 1")
         states = []
         for entry in doc["states"]:
-            factors = tuple(
-                np.array([complex(re, im) for re, im in f]) for f in entry["factors"]
-            )
-            if not all(np.isfinite(f).all() for f in factors):  # json reads NaN, Infinity
-                raise ValueError(f"state {entry['label']!r} has a non-finite amplitude")
-            states.append(ProductState(entry["label"], factors))
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise ValueError(f"state label {label!r} is not a string")
+            factors = []
+            for f in entry["factors"]:
+                vec = np.array([complex(re, im) for re, im in f])
+                if not np.isfinite(vec).all():  # json reads NaN, Infinity
+                    raise ValueError(f"state {label!r} has a non-finite amplitude")
+                with np.errstate(over="ignore"):
+                    norm = np.linalg.norm(vec)
+                if not 0 < norm < np.inf:
+                    raise ValueError(f"state {label!r} has a factor of norm {norm}")
+                factors.append(vec / norm)
+            states.append(ProductState(label, tuple(factors)))
         return cls(name, parties, states)
 
 

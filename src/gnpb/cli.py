@@ -2,26 +2,33 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
 All numeric report fields print with 12 significant digits so golden files
-stay reproducible.
+stay reproducible.  Each command imports only the modules it runs: ``opm``
+for ``classify``, ``protocols`` for built-in protocols and ``list``, ``pdl``
+for ``.pdl`` files and ``engine`` for ``verify`` and ``account``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import engine, opm, pdl
 from .bases import BUILTIN_BASES, OrthoProductBasis, check_basis, get_basis, render_tiles
-from .protocols import BUILTIN_PROTOCOLS, get_protocol
 from .qstate import TOL
 
 
 class UsageError(Exception):
-    pass
+    """Exit code 1, reported as one ``error:`` line."""
+
+    prefix = "error"
+
+
+class ParseError(UsageError):
+    """A ``.pdl`` file that does not parse: one ``parse error:`` line."""
+
+    prefix = "parse error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +56,8 @@ def _rounded(x):
 
 
 def _emit_json(doc):
+    import json  # only --json needs it
+
     print(json.dumps(_rounded(doc), indent=2))
 
 
@@ -66,18 +75,26 @@ def _load_basis(ref):
 
 def _load_protocol(ref, basis_name=None):
     """``(name, tree, basis)`` of a built-in protocol or a ``.pdl`` file; the
-    basis (``basis_name`` when given) must have the protocol's parties."""
-    if ref in BUILTIN_PROTOCOLS:
+    basis (``basis_name`` when given) must have the protocol's parties.  No
+    built-in name ends in ``.pdl``, so a ``.pdl`` path needs no protocol table."""
+    path = Path(ref)
+    if path.suffix == ".pdl" and path.exists():
+        from . import pdl
+
+        try:
+            doc = pdl.parse(path.read_text())
+        except pdl.PdlError as exc:
+            raise ParseError(exc) from None
+        name, root, source, parties = path.stem, doc.root, path.name, doc.parties
+        basis_name, own = basis_name or doc.basis, None
+    else:
+        from .protocols import BUILTIN_PROTOCOLS, get_protocol
+
+        if ref not in BUILTIN_PROTOCOLS:
+            raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
         proto = get_protocol(ref)
         name, root, source, own = proto.name, proto.root, ref, proto.basis()
         parties = own.parties
-    else:
-        path = Path(ref)
-        if not (path.suffix == ".pdl" and path.exists()):
-            raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
-        doc = pdl.parse(path.read_text())
-        name, root, source, parties = path.stem, doc.root, path.name, doc.parties
-        basis_name, own = basis_name or doc.basis, None
     try:
         basis = get_basis(basis_name) if basis_name else own
     except KeyError as exc:
@@ -115,6 +132,8 @@ def cmd_check_basis(args):
 
 
 def cmd_classify(args):
+    from . import opm
+
     basis = _load_basis(args.basis)
     try:
         cert = opm.classify(basis)
@@ -139,6 +158,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    from . import engine
+
     name, root, basis = _load_protocol(args.protocol, args.basis)
     report = engine.verify_protocol(root, basis, name, args.tol)
     if args.json:
@@ -159,6 +180,8 @@ def cmd_verify(args):
 
 
 def cmd_account(args):
+    from . import engine
+
     name, root, basis = _load_protocol(args.protocol, args.basis)
     report = engine.verify_protocol(root, basis, name, args.tol)
     if not report.ok:
@@ -206,6 +229,8 @@ def cmd_tiles(args):
 
 
 def cmd_list(args):
+    from .protocols import BUILTIN_PROTOCOLS
+
     print("bases:")
     for name in BUILTIN_BASES:
         print(f"  {name}")
@@ -256,10 +281,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except pdl.PdlError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,6 +26,7 @@ party merges appear as ``attach ... { }`` and ``merge X -> Y cost <ebits>
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .bases import RESOURCE_KINDS
@@ -64,117 +65,126 @@ class PdlDocument:
 _PUNCT = {
     "{": "LBRACE", "}": "RBRACE", "[": "LBRACK", "]": "RBRACK",
     "(": "LPAREN", ")": "RPAREN", ":": "COLON", ",": "COMMA",
-    "=": "EQUALS", "+": "PLUS", "-": "MINUS", "/": "SLASH",
+    "=": "EQUALS", "+": "PLUS", "-": "MINUS", "/": "SLASH", "->": "ARROW",
 }
 
+# One match per blank run, comment or token; only tokens fill the group.  A
+# word starts with a letter, digit or underscore (``str.isalnum``, as ``\w``
+# does) and holds dots and every sign that follows an e or E and precedes a
+# word character; :func:`_unsigned` then keeps only the signed exponents of
+# numbers, such as 1e-05.
+_SCAN = re.compile(r"""
+    [ \t\r\n]+ | \#[^\n]*
+  | ( -> | [{}\[\]():,=+\-/]
+    | \w[\w.]* (?: (?<=[eE]) [+-] \w[\w.]* )*
+    | . )
+""", re.VERBOSE)
+_SIGNED = re.compile(r"[eE][+-]\w")  # a text without it has no sign inside a word
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+
+def _unsigned(token):
+    """``token`` split at each sign that is no exponent: a sign stays in a
+    word only when the word starts with a digit and a digit follows it."""
+    if token[0] in "+-":  # punctuation, not a word
+        return [token]
+    pieces, start = [], 0
+    for i, ch in enumerate(token):
+        if ch in "+-" and not (token[start].isdigit() and token[i + 1].isdigit()):
+            pieces += [token[start:i], ch]
+            start = i + 1
+    return pieces + [token[start:]]
 
 
 def _lex(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_." or (
-                    # the signed exponent of a number, as in 1e-05
-                    text[j] in "+-" and text[j - 1] in "eE" and text[i].isdigit()
-                    and text[j + 1:j + 2].isdigit())):
-                j += 1
-            word = text[i:j]
-            kind = "NUMBER" if "." in word else "ATOM"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise PdlError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+    """Kinds and texts of the tokens of ``text``, ending with EOF.
+
+    Positions are not kept: :func:`_position` finds them again for the one
+    token an error names."""
+    texts = [t for t in _SCAN.findall(text) if t]
+    if _SIGNED.search(text):
+        texts = [piece for t in texts for piece in _unsigned(t)]
+    # a one-character token that is neither punctuation nor a word is an error
+    kinds = [_PUNCT[t] if t in _PUNCT else "NUMBER" if "." in t and t != "." else
+             "ATOM" if len(t) > 1 or t.isalnum() or t == "_" else "?" for t in texts]
+    if "?" in kinds:
+        i = kinds.index("?")
+        raise PdlError(f"unexpected character {texts[i]!r}", *_position(text, i))
+    return kinds + ["EOF"], texts + [""]
+
+
+def _position(text, index):
+    """``(line, col)`` of token ``index`` of ``text``, or of EOF past the last."""
+    signed = _SIGNED.search(text)
+    starts = []
+    for m in _SCAN.finditer(text):
+        if m.group(1):
+            start = m.start()
+            for piece in _unsigned(m.group(1)) if signed else [m.group(1)]:
+                starts.append(start)
+                start += len(piece)
+    if index < len(starts):
+        pos = starts[index]
+    else:  # a comment on the last line does not move the EOF column
+        comment = text.find("#", text.rfind("\n") + 1)
+        pos = len(text) if comment < 0 else comment
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 class _Parser:
+    """Recursive descent over the token lists; a token is its index."""
+
     def __init__(self, text):
-        self.tokens = _lex(text)
+        self.text = text
+        self.kinds, self.texts = _lex(text)
         self.pos = 0
 
     # -- token plumbing ------------------------------------------------------
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.kinds[self.pos]
 
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        tok = self.pos
+        if self.kinds[tok] != "EOF":
             self.pos += 1
         return tok
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise PdlError(message, tok.line, tok.col)
+        raise PdlError(message, *_position(self.text, self.pos if tok is None else tok))
 
     def expect(self, kind, text=None):
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if self.kinds[tok] != kind or (text is not None and self.texts[tok] != text):
             want = text if text is not None else kind.lower()
-            self.error(f"expected {want!r}, found {tok.text!r}", tok)
+            self.error(f"expected {want!r}, found {self.texts[tok]!r}", tok)
         return tok
 
     def keyword(self, word):
         tok = self.next()
-        if tok.kind != "ATOM" or tok.text != word:
-            self.error(f"expected keyword {word!r}, found {tok.text!r}", tok)
+        if self.kinds[tok] != "ATOM" or self.texts[tok] != word:
+            self.error(f"expected keyword {word!r}, found {self.texts[tok]!r}", tok)
         return tok
 
     def at_keyword(self, word):
-        tok = self.peek()
-        return tok.kind == "ATOM" and tok.text == word
+        return self.kinds[self.pos] == "ATOM" and self.texts[self.pos] == word
 
     def atom(self, what="name"):
         tok = self.next()
-        if tok.kind != "ATOM":
-            self.error(f"expected {what}, found {tok.text!r}", tok)
+        if self.kinds[tok] != "ATOM":
+            self.error(f"expected {what}, found {self.texts[tok]!r}", tok)
         return tok
+
+    def name(self, what="name"):
+        return self.texts[self.atom(what)]
 
     def integer(self, what="integer"):
         tok = self.atom(what)
-        if not tok.text.isdigit():
-            self.error(f"expected {what}, found {tok.text!r}", tok)
-        return int(tok.text)
+        if not self.texts[tok].isdigit():
+            self.error(f"expected {what}, found {self.texts[tok]!r}", tok)
+        return int(self.texts[tok])
 
     # -- grammar ---------------------------------------------------------
 
@@ -182,8 +192,8 @@ class _Parser:
         self.keyword("parties")
         self.expect("LBRACE")
         parties = []
-        while self.peek().kind != "RBRACE":
-            name = self.atom("party name").text
+        while self.peek() != "RBRACE":
+            name = self.name("party name")
             self.expect("COLON")
             dim = self.integer("dimension")
             if dim < 2:
@@ -195,7 +205,7 @@ class _Parser:
         if not parties:
             self.error("at least one party required")
         self.keyword("basis")
-        basis = self.atom("basis name").text
+        basis = self.name("basis name")
 
         self.parties = dict(parties)
         self.dims = {p: d for p, d in parties}   # register -> dim
@@ -211,15 +221,15 @@ class _Parser:
 
     def _resource(self):
         tok = self.atom("resource kind")
-        kind = tok.text
+        kind = self.texts[tok]
         if kind not in RESOURCE_KINDS:
             self.error(f"unknown resource kind {kind!r}", tok)
         dims, _ = RESOURCE_KINDS[kind]
         self.expect("LPAREN")
-        endpoints = [self.atom("party").text]
-        while self.peek().kind == "COMMA":
+        endpoints = [self.name("party")]
+        while self.peek() == "COMMA":
             self.next()
-            endpoints.append(self.atom("party").text)
+            endpoints.append(self.name("party"))
         self.expect("RPAREN")
         for p in endpoints:
             if p not in self.parties:
@@ -227,7 +237,7 @@ class _Parser:
         self.keyword("as")
         labels = []
         for _ in dims:
-            lbl = self.atom("register label").text
+            lbl = self.name("register label")
             if lbl in self.dims:
                 self.error(f"register {lbl!r} already exists")
             labels.append(lbl)
@@ -238,86 +248,89 @@ class _Parser:
         return kind, tuple(endpoints), tuple(labels)
 
     def node(self):
-        tok = self.peek()
-        if tok.kind != "ATOM":
-            self.error(f"expected a node, found {tok.text!r}")
-        if tok.text == "measure":
+        word = self.texts[self.pos]
+        if self.peek() != "ATOM":
+            self.error(f"expected a node, found {word!r}")
+        if word == "measure":
             return self.measure()
-        if tok.text == "attach":
+        if word == "attach":
             return self.attach()
-        if tok.text == "merge":
+        if word == "merge":
             return self.merge()
-        if tok.text == "identify":
+        if word == "identify":
             self.next()
-            return Identify(self.atom("state label").text)
-        if tok.text == "distinguishable":
+            return Identify(self.name("state label"))
+        if word == "distinguishable":
             self.next()
             self.expect("LBRACE")
             labels = []
-            while self.peek().kind != "RBRACE":
-                labels.append(self.atom("state label").text)
+            while self.peek() != "RBRACE":
+                labels.append(self.name("state label"))
             self.expect("RBRACE")
             if not labels:
                 self.error("empty distinguishable set")
             return Distinguishable(labels)
-        if tok.text == "fail":
+        if word == "fail":
             self.next()
             return Fail()
-        self.error(f"unknown node keyword {tok.text!r}")
+        self.error(f"unknown node keyword {word!r}")
 
     def measure(self):
         self.keyword("measure")
         self.keyword("by")
         actor_tok = self.atom("acting party")
-        if actor_tok.text not in self.parties:
-            self.error(f"unknown party {actor_tok.text!r}", actor_tok)
+        actor = self.texts[actor_tok]
+        if actor not in self.parties:
+            self.error(f"unknown party {actor!r}", actor_tok)
         self.expect("LBRACE")
         effects = []
         rest_seen = False
-        while self.peek().kind != "RBRACE":
+        while self.peek() != "RBRACE":
             name_tok = self.atom("effect name")
-            if name_tok.text in (e.name for e in effects):
-                self.error(f"duplicate effect {name_tok.text!r}", name_tok)
+            name = self.texts[name_tok]
+            if name in (e.name for e in effects):
+                self.error(f"duplicate effect {name!r}", name_tok)
             self.expect("EQUALS")
             if self.at_keyword("rest"):
                 self.next()
                 if rest_seen:
                     self.error("only one rest effect per measurement", name_tok)
                 rest_seen = True
-                effects.append(Effect(name_tok.text, None))
+                effects.append(Effect(name, None))
             else:
                 terms = [self.pexpr()]
-                while self.peek().kind == "PLUS":
+                while self.peek() == "PLUS":
                     self.next()
                     terms.append(self.pexpr())
-                effects.append(Effect(name_tok.text, tuple(terms)))
+                effects.append(Effect(name, tuple(terms)))
         self.expect("RBRACE")
         if not effects:
             self.error("measurement needs at least one effect")
         self.keyword("outcomes")
         self.expect("LBRACE")
         children = {}
-        while self.peek().kind != "RBRACE":
+        while self.peek() != "RBRACE":
             out_tok = self.atom("outcome name")
-            if out_tok.text not in (e.name for e in effects):
-                self.error(f"outcome {out_tok.text!r} names no effect", out_tok)
-            if out_tok.text in children:
-                self.error(f"duplicate outcome {out_tok.text!r}", out_tok)
+            out = self.texts[out_tok]
+            if out not in (e.name for e in effects):
+                self.error(f"outcome {out!r} names no effect", out_tok)
+            if out in children:
+                self.error(f"duplicate outcome {out!r}", out_tok)
             self.expect("ARROW")
-            children[out_tok.text] = self.node()
+            children[out] = self.node()
         self.expect("RBRACE")
         missing = [e.name for e in effects if e.name not in children]
         if missing:
             self.error(f"non-exhaustive outcomes; missing {missing}")
-        return Measure(actor_tok.text, tuple(effects), children)
+        return Measure(actor, tuple(effects), children)
 
     def pexpr(self):
         tok = self.atom("P[...] term")
-        if tok.text != "P":
-            self.error(f"expected 'P', found {tok.text!r}", tok)
+        if self.texts[tok] != "P":
+            self.error(f"expected 'P', found {self.texts[tok]!r}", tok)
         self.expect("LBRACK")
         factors = [self.ketlist()]
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             factors.append(self.ketlist())
         self.expect("RBRACK")
@@ -328,7 +341,7 @@ class _Parser:
 
     def ketlist(self):
         reg_tok = self.atom("register")
-        reg = reg_tok.text
+        reg = self.texts[reg_tok]
         if reg not in self.dims:
             self.error(f"unknown register {reg!r}", reg_tok)
         self.expect("COLON")
@@ -337,7 +350,7 @@ class _Parser:
             return (reg, None)
         self.expect("LBRACE")
         out = [self.ket(reg)]
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             out.append(self.ket(reg))
         self.expect("RBRACE")
@@ -345,31 +358,32 @@ class _Parser:
 
     def ket(self, reg):
         dim = self.dims[reg]
-        tok = self.peek()
-        if tok.kind == "ATOM" and tok.text.isdigit():
+        tok, word = self.pos, self.texts[self.pos]
+        if self.peek() == "ATOM" and word.isdigit():
             self.next()
-            level = int(tok.text)
+            level = int(word)
             if level >= dim:
                 self.error(f"level {level} out of range for {reg!r} (dim {dim})", tok)
             return KetExpr(level)
-        if tok.kind == "LPAREN":
+        if self.peek() == "LPAREN":
             self.next()
             i = self.integer("level")
             sign_tok = self.next()
-            if sign_tok.kind not in ("PLUS", "MINUS"):
+            sign = self.kinds[sign_tok]
+            if sign not in ("PLUS", "MINUS"):
                 self.error("expected '+' or '-'", sign_tok)
             j = self.integer("level")
             self.expect("RPAREN")
             self.expect("SLASH")
-            word = self.atom("sqrt2")
-            if word.text != "sqrt2":
-                self.error(f"expected 'sqrt2', found {word.text!r}", word)
+            sqrt2 = self.atom("sqrt2")
+            if self.texts[sqrt2] != "sqrt2":
+                self.error(f"expected 'sqrt2', found {self.texts[sqrt2]!r}", sqrt2)
             if i >= dim or j >= dim:
                 self.error(f"level out of range for {reg!r} (dim {dim})", tok)
             if i == j:
                 self.error("superposition needs two distinct levels", tok)
-            return KetExpr(i, j, 1 if sign_tok.kind == "PLUS" else -1)
-        self.error(f"expected a ket, found {tok.text!r}")
+            return KetExpr(i, j, 1 if sign == "PLUS" else -1)
+        self.error(f"expected a ket, found {word!r}")
 
     def attach(self):
         self.keyword("attach")
@@ -386,21 +400,23 @@ class _Parser:
         src_tok = self.atom("source party")
         self.expect("ARROW")
         dst_tok = self.atom("destination party")
+        src, dst = self.texts[src_tok], self.texts[dst_tok]
         for t in (src_tok, dst_tok):
-            if t.text not in self.parties:
-                self.error(f"unknown party {t.text!r}", t)
-        if src_tok.text == dst_tok.text:
+            if self.texts[t] not in self.parties:
+                self.error(f"unknown party {self.texts[t]!r}", t)
+        if src == dst:
             self.error("cannot merge a party into itself", src_tok)
         self.keyword("cost")
         cost_tok = self.next()
-        if cost_tok.kind not in ("NUMBER", "ATOM") or not _is_number(cost_tok.text):
-            self.error(f"expected a cost in ebits, found {cost_tok.text!r}", cost_tok)
+        cost = self.texts[cost_tok]
+        if self.kinds[cost_tok] not in ("NUMBER", "ATOM") or not _is_number(cost):
+            self.error(f"expected a cost in ebits, found {cost!r}", cost_tok)
         self.expect("LBRACE")
-        saved = self.parties.pop(src_tok.text)
+        saved = self.parties.pop(src)
         child = self.node()
-        self.parties[src_tok.text] = saved
+        self.parties[src] = saved
         self.expect("RBRACE")
-        return MergeParties(src_tok.text, dst_tok.text, float(cost_tok.text), child)
+        return MergeParties(src, dst, float(cost), child)
 
 
 def _is_number(text):

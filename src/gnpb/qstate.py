@@ -194,33 +194,45 @@ class Born(NamedTuple):
     sums: np.ndarray    # (n,): total probability of each state over the effects
     survivors: tuple    # per effect: indices of the states with probability > tol
     posts: Iterator     # per effect, in turn: (k, D) normalized post-states of those
+    layout: CompositeSpace  # the register order of the post-states' flat axis
 
 
-def born(space, acted, matrices, stack, tol=TOL):
+def born(space, acted, matrices, stack, tol=TOL, layout=None):
     """Born rule for projective effects on the named registers ``acted``.
 
     ``matrices`` is a sequence of E effect matrices acting on ``acted`` in
     the given order, and ``stack`` is an ``(n, D)`` array of flat vectors
-    over ``space``.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
-    reduced state of the acted registers, so only the (effect, state) pairs
-    whose probability exceeds ``tol`` are projected.  Each effect's
-    post-states are built when the caller reaches them, so the buffers of
-    one effect are alive at a time.  The dtype follows the inputs: real
-    effects on real states stay real.
+    over the registers of ``space``, in the order of ``layout`` (by default
+    ``space`` itself).  Probabilities are ``tr(M_e rho_c)`` with ``rho_c``
+    the reduced state of the acted registers, so only the (effect, state)
+    pairs whose probability exceeds ``tol`` are projected; an effect that
+    no state survives yields an empty stack.  The post-states keep the
+    layout the projection leaves them in, ``Born.layout``: ``acted`` first,
+    then the other registers in ``space`` order.  Each effect's post-states
+    are built when the caller reaches them, so the buffers of one effect
+    are alive at a time.  The dtype follows the inputs: real effects on
+    real states stay real.
     """
     mats = np.asarray(matrices)
-    split = space.split_axes(acted, stack)                     # (n, d, r)
+    out = CompositeSpace([space.subsystem(n) for n in acted]
+                         + [s for s in space.subsystems if s.name not in acted])
+    d = mats.shape[1]
+    split = (layout or space).split_axes(out.names, stack).reshape(len(stack), d, space.dim // d)
     rho = split @ split.conj().transpose(0, 2, 1)              # (n, d, d)
     probs = np.einsum("eij,cji->ec", mats, rho).real           # tr(M_e rho_c)
     survivors = tuple(np.flatnonzero(row > tol) for row in probs)
 
     def posts():
+        empty = np.empty((0, space.dim), np.result_type(mats, split))
         for m, row, idx in zip(mats, probs, survivors):
-            projected = m @ split[idx]                         # (k, d, r)
+            if not len(idx):
+                yield empty
+                continue
+            projected = m @ (split if len(idx) == len(split) else split[idx])  # (k, d, r)
             projected /= np.sqrt(row[idx])[:, None, None]
-            yield space.unsplit_axes(acted, projected)
+            yield projected.reshape(len(idx), space.dim)
 
-    return Born(probs, probs.sum(axis=0), survivors, posts())
+    return Born(probs, probs.sum(axis=0), survivors, posts(), out)
 
 
 def schmidt_ebits(state, cut):

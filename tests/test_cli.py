@@ -136,6 +136,15 @@ def _basis_doc(*factors):
 WRONG_DIM = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]])
 NAN_AMPLITUDE = _basis_doc([[float("nan"), 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
 INF_AMPLITUDE = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, float("inf")]], [[1, 0], [0, 0]])
+ZERO_FACTOR = _basis_doc([[0, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
+HUGE_AMPLITUDES = _basis_doc([[1e308, 0], [1e308, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
+INT_LABEL = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]).replace('"s"', "3")
+REPEATED_PARTY = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]).replace(
+    '"B"', '"A"')
+DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim": 2},
+                                   {"name": "C", "dim": 2}],
+                       "states": [{"label": "s", "factors": [[], [[1, 0], [0, 0]],
+                                                             [[1, 0], [0, 0]]]}]})
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -150,6 +159,15 @@ INF_AMPLITUDE = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, float("inf")]], [[1, 0
     pytest.param(("tiles", "FILE", "--cut", "AB|C"), NAN_AMPLITUDE, id="tiles-nan"),
     pytest.param(("check-basis", "FILE"), INF_AMPLITUDE, id="check-basis-inf"),
     pytest.param(("tiles", "FILE", "--cut", "AB|C"), INF_AMPLITUDE, id="tiles-inf"),
+    pytest.param(("check-basis", "FILE"), ZERO_FACTOR, id="check-basis-zero-factor"),
+    pytest.param(("classify", "FILE"), ZERO_FACTOR, id="classify-zero-factor"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), ZERO_FACTOR, id="tiles-zero-factor"),
+    pytest.param(("check-basis", "FILE"), HUGE_AMPLITUDES, id="check-basis-huge"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), HUGE_AMPLITUDES, id="tiles-huge"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), INT_LABEL, id="tiles-int-label"),
+    pytest.param(("classify", "FILE"), REPEATED_PARTY, id="classify-repeated-party"),
+    pytest.param(("check-basis", "FILE"), DIM_ZERO, id="check-basis-dim-zero"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), DIM_ZERO, id="tiles-dim-zero"),
     pytest.param(("--tol", "nan", "verify", "prop5_II33"), None, id="tol-nan"),
     pytest.param(("--tol", "-1", "verify", "prop5_II33"), None, id="tol-negative"),
     pytest.param(("--tol", "inf", "verify", "prop5_II33"), None, id="tol-inf"),

@@ -384,13 +384,12 @@ def test_product_test_decides_like_svd(dtype, eps):
     mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
     stack = mats.reshape(n, 12).astype(dtype)
 
-    got = _product_factors(space, [("A",), ("B",)], stack)
+    (fa, fb), product = _product_factors(space, [("A",), ("B",)], stack)
     svds = [np.linalg.svd(m) for m in mats]
-    assert (got is None) == any(s[1] > RANK_TOL for _, s, _ in svds)
-    if got is not None:
-        fa, fb = got
-        assert fa.dtype == fb.dtype == np.dtype(dtype)
-        for c, (u, _, vh) in enumerate(svds):
+    assert product.tolist() == [bool(s[1] <= RANK_TOL) for _, s, _ in svds]
+    assert fa.dtype == fb.dtype == np.dtype(dtype)
+    for c, (u, _, vh) in enumerate(svds):
+        if product[c]:
             assert abs(np.vdot(u[:, 0], fa[c])) == pytest.approx(1.0, abs=1e-9)
             assert abs(np.vdot(vh[0], fb[c])) == pytest.approx(1.0, abs=1e-9)
 
@@ -407,15 +406,17 @@ def test_product_test_on_three_groups():
     phi[[0, 3]] = 1 / np.sqrt(2)  # x and y share an EPR pair
     entangled = space.unsplit_axes(("A", "B", "x", "y"), np.kron(np.kron(a, b), phi)[:, None])
     groups = [("A",), ("B",), ("x", "y")]
-    fa, fb, fxy = _product_factors(space, groups, np.array([product]))
+    (fa, fb, fxy), verdict = _product_factors(space, groups, np.array([product]))
+    assert verdict.tolist() == [True]
     assert abs(np.vdot(fa[0], a)) == pytest.approx(1.0)
     assert abs(np.vdot(fb[0], b)) == pytest.approx(1.0)
     assert abs(np.vdot(fxy[0], np.kron(x, y))) == pytest.approx(1.0)
     # the EPR pair inside one group leaves the state product across the groups
-    assert _product_factors(space, groups, np.array([product, entangled])) is not None
+    _, verdict = _product_factors(space, groups, np.array([product, entangled]))
+    assert verdict.tolist() == [True, True]
     parties = [("A", "x"), ("B", "y")]
-    assert _product_factors(space, parties, np.array([product])) is not None
-    assert _product_factors(space, parties, np.array([product, entangled])) is None
+    _, verdict = _product_factors(space, parties, np.array([product, entangled]))
+    assert verdict.tolist() == [True, False]
 
 
 def test_effect_matrices_built_once_per_walk(monkeypatch):
@@ -448,3 +449,53 @@ def test_complex_basis_walks_like_the_real_one():
     assert cplx.identification == pytest.approx(real.identification)
     assert cplx.ledger.total_ebits == pytest.approx(real.ledger.total_ebits)
     assert [p for p, _, _ in cplx.leaf_strategies] == [p for p, _, _ in real.leaf_strategies]
+
+
+def _empty_branch_tree(empty_leaves):
+    """An EPR pair, then A keeps |0> (both states) or the rest (no state);
+    the empty branch holds a measurement on B and the two given leaves."""
+    hit = measure("A", (eff("ap", P(a=(0, 1, 1))), eff("am", P(a=(0, -1, 1)))),
+                  {"ap": Distinguishable(["x", "y"]), "am": Distinguishable(["x", "y"])})
+    miss = measure("B", (eff("b0", P(B=0, b=(0, 1, 1))), rest("b1")),
+                   dict(zip(("b0", "b1"), empty_leaves)))
+    return AttachResource("EPR", ("A", "B"), ("a", "b"),
+                          measure("A", (eff("hit", P(A=0)), rest("miss")),
+                                  {"hit": hit, "miss": miss}))
+
+
+SPLIT_XY = "B splits {x, y}\n-> block {x}\n  identified: x\n-> block {y}\n  identified: y"
+
+
+@pytest.mark.parametrize("leaves, failures, strategies, ledger_uses", [
+    ((Identify("x"), Distinguishable(["x", "y"])),
+     [("root/miss/b0", "identify"), ("root/miss/b1", "leaf-set")],
+     [("root/hit/ap", ("x", "y"), SPLIT_XY), ("root/hit/am", ("x", "y"), SPLIT_XY)],
+     None),
+    ((Distinguishable([]), Fail()),
+     [],
+     [("root/hit/ap", ("x", "y"), SPLIT_XY), ("root/hit/am", ("x", "y"), SPLIT_XY),
+      ("root/miss/b0", (), "identified: ")],
+     0.9999999999999998),
+])
+def test_branch_no_state_reaches_is_still_walked(leaves, failures, strategies, ledger_uses):
+    """No post-state is built for ``miss``, but its subtree is walked as
+    before: its measurement and leaves are counted, its leaves fail or pass
+    on an empty candidate set, and the ledger is unchanged (all values were
+    recorded from the walk that projected every effect)."""
+    basis = OrthoProductBasis("pair", [("A", 2), ("B", 2)], [
+        ProductState("x", (comp(0, 2), comp(0, 2))),
+        ProductState("y", (comp(0, 2), comp(1, 2))),
+    ])
+    report = verify_protocol(_empty_branch_tree(leaves), basis, "empty")
+    assert (report.n_measurements, report.n_leaves) == (3, 4)
+    assert [(f["node"], f["kind"]) for f in report.failures] == failures
+    assert [(p, lbls, s.text()) for p, lbls, s in report.leaf_strategies] == strategies
+    assert report.identification == {"x": 0.9999999999999998, "y": 0.9999999999999998}
+    if ledger_uses is None:
+        assert report.ledger is None
+    else:
+        assert report.ledger.to_dict() == {
+            "rows": [{"kind": "EPR", "endpoints": ["A", "B"], "expected_uses": ledger_uses,
+                      "ebits_per_use": 1.0, "ebits": ledger_uses}],
+            "total_ebits": ledger_uses, "ghz_count": 0.0, "ghz_distribution_bound_ebits": 0.0,
+            "baseline_ebits": 1.0, "beats_baseline": True}

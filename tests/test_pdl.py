@@ -143,3 +143,58 @@ def test_fuzz_char_corruption_never_crashes():
             pdl.parse(mutated)
         except pdl.PdlError:
             pass
+
+
+# (kind, text, line, col) of every token, recorded from the character-loop
+# lexer that the compiled scanner replaced; errors as (message, line, col)
+LEX_CASES = {
+    "crlf-tabs-comment-at-eof": (
+        "parties {\r\n\tA:2\tB:2 }\r\nbasis x # trailing comment",
+        [("ATOM", "parties", 1, 1), ("LBRACE", "{", 1, 9), ("ATOM", "A", 2, 2),
+         ("COLON", ":", 2, 3), ("ATOM", "2", 2, 4), ("ATOM", "B", 2, 6), ("COLON", ":", 2, 7),
+         ("ATOM", "2", 2, 8), ("RBRACE", "}", 2, 10), ("ATOM", "basis", 3, 1),
+         ("ATOM", "x", 3, 7), ("EOF", "", 3, 9)]),
+    "numbers": (
+        "cost 1e-05 1E+3 x-1 a->b 2.5e-3 1.5e+ e-1 3e-x",
+        [("ATOM", "cost", 1, 1), ("ATOM", "1e-05", 1, 6), ("ATOM", "1E+3", 1, 12),
+         ("ATOM", "x", 1, 17), ("MINUS", "-", 1, 18), ("ATOM", "1", 1, 19),
+         ("ATOM", "a", 1, 21), ("ARROW", "->", 1, 22), ("ATOM", "b", 1, 24),
+         ("NUMBER", "2.5e-3", 1, 26), ("NUMBER", "1.5e", 1, 33), ("PLUS", "+", 1, 37),
+         ("ATOM", "e", 1, 39), ("MINUS", "-", 1, 40), ("ATOM", "1", 1, 41),
+         ("ATOM", "3e", 1, 43), ("MINUS", "-", 1, 45), ("ATOM", "x", 1, 46),
+         ("EOF", "", 1, 47)]),
+    "unicode-atom": (
+        "état_1 Ωmega:2 x²",
+        [("ATOM", "état_1", 1, 1), ("ATOM", "Ωmega", 1, 8), ("COLON", ":", 1, 13),
+         ("ATOM", "2", 1, 14), ("ATOM", "x²", 1, 16), ("EOF", "", 1, 18)]),
+    "arrow-and-punctuation": (
+        "M->identify{a,b}[c:(0+1)/sqrt2]=rest",
+        [("ATOM", "M", 1, 1), ("ARROW", "->", 1, 2), ("ATOM", "identify", 1, 4),
+         ("LBRACE", "{", 1, 12), ("ATOM", "a", 1, 13), ("COMMA", ",", 1, 14),
+         ("ATOM", "b", 1, 15), ("RBRACE", "}", 1, 16), ("LBRACK", "[", 1, 17),
+         ("ATOM", "c", 1, 18), ("COLON", ":", 1, 19), ("LPAREN", "(", 1, 20),
+         ("ATOM", "0", 1, 21), ("PLUS", "+", 1, 22), ("ATOM", "1", 1, 23),
+         ("RPAREN", ")", 1, 24), ("SLASH", "/", 1, 25), ("ATOM", "sqrt2", 1, 26),
+         ("RBRACK", "]", 1, 31), ("EQUALS", "=", 1, 32), ("ATOM", "rest", 1, 33),
+         ("EOF", "", 1, 37)]),
+    "at-error": ("parties { A:2 }\n  basis @x", ("unexpected character '@'", 2, 9)),
+    "dollar-error": ("measure\r\n\t by $", ("unexpected character '$'", 2, 6)),
+}
+
+
+def _tokens(text):
+    kinds, texts = pdl._lex(text)
+    return [(k, t, *pdl._position(text, i)) for i, (k, t) in enumerate(zip(kinds, texts))]
+
+
+@pytest.mark.parametrize("case", sorted(LEX_CASES))
+def test_lexer_edge_cases(case):
+    text, want = LEX_CASES[case]
+    if isinstance(want, list):
+        assert _tokens(text) == want
+        return
+    message, line, col = want
+    with pytest.raises(pdl.PdlError) as err:
+        _tokens(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}",
+                                                               line, col)

@@ -77,8 +77,11 @@ def _proj(vec):
 def _born1(space, acted, matrix, vec, tol=1e-9):
     """One effect on one state: (probability, post-state or None)."""
     out = born(space, acted, [matrix], np.asarray(vec)[None], tol)
-    post = next(out.posts)[0] if len(out.survivors[0]) else None
-    return float(out.probs[0, 0]), post
+    posts = next(out.posts)
+    if not len(posts):
+        return float(out.probs[0, 0]), None
+    # post-states come acted registers first (out.layout); back to space order
+    return float(out.probs[0, 0]), out.layout.split_axes(space.names, posts)[0, :, 0]
 
 
 def _space(*dims):
@@ -240,8 +243,11 @@ def test_born_stack_matches_one_projection_per_row(case):
         assert posts.dtype == np.result_type(m, stack)
         assert np.allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
         for c, post in zip(idx, posts):
-            want = space.unsplit_axes(acted, projected[c]) / np.sqrt(expected[c])
+            # left in the projection's layout: acted first, the rest in space order
+            want = projected[c].reshape(-1) / np.sqrt(expected[c])
             assert np.allclose(post, want, rtol=0, atol=1e-12)
+    rest = tuple(n for n in space.names if n not in acted)
+    assert out.layout.names == acted + rest
 
 
 def test_split_axes_keeps_leading_stack_axis():
