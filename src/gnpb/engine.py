@@ -185,11 +185,6 @@ def _factor_projector(ks, dim):
     return p
 
 
-def _kron(a, b):
-    """``np.kron`` of two matrices: the same products, without its generic set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
 def _remainder(dim, others):
     """Identity minus the sum of the other effects' matrices."""
     total = np.eye(dim)
@@ -213,7 +208,7 @@ def materialize(effect, siblings, space, acted):
         mat = np.ones((1, 1))
         for name, dim in zip(acted, dims):
             ks = fmap.get(name)
-            mat = _kron(mat, np.eye(dim) if ks is None else _factor_projector(ks, dim))
+            mat = np.kron(mat, np.eye(dim) if ks is None else _factor_projector(ks, dim))
         out = out + mat
     return out
 
@@ -317,13 +312,11 @@ def _norms(rows):
 
 
 def _product_factors(space, groups, stack):
-    """Unit local factors of every state on every register group, and which
-    states are product.
+    """Unit local factors of every state on every register group, or None.
 
     ``groups`` partitions the registers of ``space`` and ``stack`` is
-    ``(n, D)``.  Returns one ``(n, d_g)`` array per group and an ``(n,)``
-    mask that is False for a state with a group cut whose ``s[1]`` exceeds
-    ``RANK_TOL`` (its factor rows mean nothing).  The fibres through a
+    ``(n, D)``.  Returns one ``(n, d_g)`` array per group, or None when some
+    state has a group cut with ``s[1] > RANK_TOL``.  The fibres through a
     state's largest entry span a product approximation that has rank one
     across every group cut, so by Eckart-Young its residual bounds ``s[1]``
     of each cut from above: a residual within ``RANK_TOL`` proves the state
@@ -344,18 +337,14 @@ def _product_factors(space, groups, stack):
         for f in fibres[1:]:
             approx = (approx[:, :, None] * f[:, None, :]).reshape(n, -1)
         factors = [f / _norms(f)[:, None] for f in fibres]
-        approx -= flat
-        resid = _norms(approx)
-    product = resid <= RANK_TOL
-    for c in np.flatnonzero(~product):
+        resid = _norms(flat - approx)
+    for c in np.flatnonzero(~(resid <= RANK_TOL)):
         for g, f in zip(groups, factors):
             u, s, _ = np.linalg.svd(space.split_axes(g, stack[c]), full_matrices=False)
             if len(s) > 1 and s[1] > RANK_TOL:
-                break
+                return None
             f[c] = u[:, 0]
-        else:
-            product[c] = True
-    return factors, product
+    return factors
 
 
 def _split_recursive(idxs, labels, close, party_order):
@@ -407,54 +396,24 @@ def leaf_verify(states, ignore=(), tol=TOL):
     if not states:
         return StrategyNode((), None, ())
     space = states[0][1].space
-    stack = np.array([k.amplitudes for _, k in states])
-    return _strategies([_Leaf(tuple(lbl for lbl, _ in states), stack, space, space,
-                              tuple(ignore))], tol)[0]
+    return _strategy([lbl for lbl, _ in states], np.array([k.amplitudes for _, k in states]),
+                     space, space, ignore, tol)
 
 
-class _Leaf(NamedTuple):
-    """The states at a distinguishable leaf, as :func:`_strategies` reads them."""
-
-    labels: tuple
-    stack: np.ndarray  # (n, D): flat states whose registers run as in ``layout``
-    layout: object     # ``space`` reordered
-    space: object
-    ignore: tuple      # registers that must carry one shared state
-
-
-#: amplitudes in one chunk of leaves searched together: the chunk shares one
-#: product test among its leaves, and a walk keeps at most one unfinished
-#: chunk per register layout
-_CHUNK_BYTES = 1 << 18
-
-
-def _strategies(leaves, tol):
-    """:func:`leaf_verify` of nonempty leaves that share their layout, space
-    and ignored registers: one product test and one overlap table per party
-    for all of them, from which each leaf reads its block of rows."""
-    first = leaves[0]
-    owners, drop = {}, []  # party -> registers it holds, outside ``ignore``
-    for sub in first.space.subsystems:
-        if sub.name in first.ignore:
-            drop.append(sub.name)
-        else:
-            owners.setdefault(sub.owner, []).append(sub.name)
+def _strategy(labels, stack, space, layout, ignore, tol):
+    """:func:`leaf_verify` of the nonempty ``(n, D)`` ``stack``, whose flat
+    axis runs over the registers of ``space`` in the order of ``layout``."""
+    drop = tuple(n for n in space.names if n in ignore)
+    owners = space.without(drop).owners()
     groups = list(owners.values()) + ([drop] if drop else [])
-    factors, product = _product_factors(first.layout, groups,
-                                        np.concatenate([leaf.stack for leaf in leaves]))
+    factors = _product_factors(layout, groups, stack)
+    if factors is None:
+        return None
+    shared = factors[-1]
+    if drop and not np.all(np.abs(shared.conj() @ shared[0]) >= 1 - RANK_TOL):
+        return None
     close = {p: (np.abs(f.conj() @ f.T) > 10 * tol).tolist() for p, f in zip(owners, factors)}
-    if drop:
-        shared = np.abs(factors[-1].conj() @ factors[-1].T) >= 1 - RANK_TOL
-    found, end = [], 0
-    for leaf in leaves:
-        start, end = end, end + len(leaf.labels)
-        if not product[start:end].all() or (drop and not shared[start, start:end].all()):
-            found.append(None)
-            continue
-        blocks = {p: [row[start:end] for row in c[start:end]] for p, c in close.items()}
-        found.append(_split_recursive(list(range(end - start)), leaf.labels, blocks,
-                                      sorted(owners)))
-    return found
+    return _split_recursive(list(range(len(labels))), labels, close, sorted(owners))
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +559,6 @@ class _Walk:
         self.n_measurements = 0
         self.n_leaves = 0
         self.leaf_strategies = []
-        # distinguishable leaves wait in chunks of one layout, space and set of
-        # ignored registers, searched when full (:meth:`search`) and at the
-        # end (:meth:`settle`); a failure list entry that is an int stands for
-        # the failure of that leaf, if it has one
-        self.leaves = []   # (path, labels) of every distinguishable leaf
-        self.found = {}    # leaf index -> strategy or None
-        self.waiting = {}  # chunk key -> [(leaf index, _Leaf)]
-        self.credits = []  # (label, probability, leaf index or None), in walk order
         # effect matrices built during this walk; repeated subtrees reuse them
         self.node_memo = {}
 
@@ -758,7 +709,7 @@ class _Walk:
                 self.fail(path, "identify",
                           f"expected only {node.label!r}, got {labels}")
                 return
-            self.credits.append((node.label, float(cands.weights[0]), None))
+            self.identification[node.label] += float(cands.weights[0])
             return
         # Distinguishable leaf
         got = set(labels)
@@ -772,44 +723,15 @@ class _Walk:
             if (r.kind, tuple(sorted(r.endpoints)), r.labels) not in acted_keys
             for lbl in r.labels
         ]
-        index = len(self.leaves)
-        self.leaves.append((path, tuple(sorted(got))))
-        self.failures.append(index)
-        self.credits += [(lbl, p, index) for lbl, p in zip(labels, cands.weights.tolist())]
-        if not labels:
-            self.found[index] = StrategyNode((), None, ())
+        strategy = (_strategy(labels, cands.stack, space, cands.layout, untouched, self.tol)
+                    if labels else StrategyNode((), None, ()))
+        if strategy is None:
+            self.fail(path, "leaf-indistinguishable",
+                      f"no splitting strategy for {sorted(got)}")
             return
-        key = (cands.layout.names, tuple((s.name, s.owner) for s in space.subsystems),
-               tuple(untouched))
-        waiting = self.waiting.get(key, ())
-        if waiting and (sum(leaf.stack.nbytes for _, leaf in waiting)
-                        + cands.stack.nbytes > _CHUNK_BYTES):
-            self.search(key)
-        self.waiting.setdefault(key, []).append(
-            (index, _Leaf(cands.labels, cands.stack, cands.layout, space, tuple(untouched))))
-
-    def search(self, key):
-        chunk = self.waiting.pop(key)
-        self.found.update(zip((index for index, _ in chunk),
-                              _strategies([leaf for _, leaf in chunk], self.tol)))
-
-    def settle(self):
-        """Search the strategies of the waiting leaves, then enter every
-        leaf's failure, strategy and identification credits in walk order."""
-        for key in list(self.waiting):
-            self.search(key)
-        found = [self.found[index] for index in range(len(self.leaves))]
-        self.failures = [
-            f if not isinstance(f, int) else
-            {"node": self.leaves[f][0], "kind": "leaf-indistinguishable",
-             "detail": f"no splitting strategy for {list(self.leaves[f][1])}"}
-            for f in self.failures if not isinstance(f, int) or found[f] is None]
-        self.leaf_strategies = [(path, labels, strategy)
-                                for (path, labels), strategy in zip(self.leaves, found)
-                                if strategy is not None]
-        for lbl, p, index in self.credits:
-            if index is None or found[index] is not None:
-                self.identification[lbl] += p
+        self.leaf_strategies.append((path, tuple(sorted(got)), strategy))
+        for lbl, p in zip(labels, cands.weights.tolist()):
+            self.identification[lbl] += p
 
 
 def _baseline_ebits(basis):
@@ -829,7 +751,6 @@ def verify_protocol(root, basis, name="protocol", tol=TOL):
         walk.run(root, space, cands, [], frozenset(), "root")
     except (KeyError, ValueError) as exc:
         walk.fail("root", "execution-error", str(exc))
-    walk.settle()
     for lbl, p in walk.identification.items():
         if not abs(p - 1.0) <= tol:
             walk.fail("total", "identification",

@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from gnpb.bases import OrthoProductBasis, ProductState, comp, eta, get_basis, xi
+from gnpb.bases import (
+    RESOURCE_KINDS,
+    OrthoProductBasis,
+    ProductState,
+    comp,
+    eta,
+    get_basis,
+    resource_amplitudes,
+    xi,
+)
 from gnpb.engine import (
     AttachResource,
     Distinguishable,
@@ -31,6 +40,7 @@ from gnpb.engine import (
     verify_protocol,
 )
 from gnpb.protocols import get_protocol
+from gnpb.qstate import Ket, Subsystem
 
 
 def _single_state_basis():
@@ -384,12 +394,13 @@ def test_product_test_decides_like_svd(dtype, eps):
     mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
     stack = mats.reshape(n, 12).astype(dtype)
 
-    (fa, fb), product = _product_factors(space, [("A",), ("B",)], stack)
+    got = _product_factors(space, [("A",), ("B",)], stack)
     svds = [np.linalg.svd(m) for m in mats]
-    assert product.tolist() == [bool(s[1] <= RANK_TOL) for _, s, _ in svds]
-    assert fa.dtype == fb.dtype == np.dtype(dtype)
-    for c, (u, _, vh) in enumerate(svds):
-        if product[c]:
+    assert (got is None) == any(s[1] > RANK_TOL for _, s, _ in svds)
+    if got is not None:
+        fa, fb = got
+        assert fa.dtype == fb.dtype == np.dtype(dtype)
+        for c, (u, _, vh) in enumerate(svds):
             assert abs(np.vdot(u[:, 0], fa[c])) == pytest.approx(1.0, abs=1e-9)
             assert abs(np.vdot(vh[0], fb[c])) == pytest.approx(1.0, abs=1e-9)
 
@@ -406,17 +417,15 @@ def test_product_test_on_three_groups():
     phi[[0, 3]] = 1 / np.sqrt(2)  # x and y share an EPR pair
     entangled = space.unsplit_axes(("A", "B", "x", "y"), np.kron(np.kron(a, b), phi)[:, None])
     groups = [("A",), ("B",), ("x", "y")]
-    (fa, fb, fxy), verdict = _product_factors(space, groups, np.array([product]))
-    assert verdict.tolist() == [True]
+    fa, fb, fxy = _product_factors(space, groups, np.array([product]))
     assert abs(np.vdot(fa[0], a)) == pytest.approx(1.0)
     assert abs(np.vdot(fb[0], b)) == pytest.approx(1.0)
     assert abs(np.vdot(fxy[0], np.kron(x, y))) == pytest.approx(1.0)
     # the EPR pair inside one group leaves the state product across the groups
-    _, verdict = _product_factors(space, groups, np.array([product, entangled]))
-    assert verdict.tolist() == [True, True]
+    assert _product_factors(space, groups, np.array([product, entangled])) is not None
     parties = [("A", "x"), ("B", "y")]
-    _, verdict = _product_factors(space, parties, np.array([product, entangled]))
-    assert verdict.tolist() == [True, False]
+    assert _product_factors(space, parties, np.array([product])) is not None
+    assert _product_factors(space, parties, np.array([product, entangled])) is None
 
 
 def test_effect_matrices_built_once_per_walk(monkeypatch):
@@ -499,3 +508,58 @@ def test_branch_no_state_reaches_is_still_walked(leaves, failures, strategies, l
                       "ebits_per_use": 1.0, "ebits": ledger_uses}],
             "total_ebits": ledger_uses, "ghz_count": 0.0, "ghz_distribution_bound_ebits": 0.0,
             "baseline_ebits": 1.0, "beats_baseline": True}
+
+
+def _attached_then_measured(kinds, labels):
+    """Attach resources of ``kinds`` between A and B as registers a, b, c, d,
+    ...; then A measures register a in the computational basis, so the first
+    resource is consumed and the others stay untouched."""
+    d = RESOURCE_KINDS[kinds[0]][0][0]
+    child = measure("A", tuple(eff(f"a{k}", P(a=k)) for k in range(d)),
+                    {f"a{k}": Distinguishable(labels) for k in range(d)})
+    for i, kind in reversed(list(enumerate(kinds))):
+        child = AttachResource(kind, ("A", "B"), tuple("abcd"[2 * i:2 * i + 2]), child)
+    return child
+
+
+@pytest.mark.parametrize("kinds_0, kinds_1", [
+    (("EPR",), ("EPR3",)),
+    (("EPR", "EPR3"), ("EPR3", "EPR")),
+])
+def test_sibling_leaves_reusing_labels_are_searched_on_their_own_space(kinds_0, kinds_1):
+    """Sibling branches attach resources of other dims under the same labels
+    (a label's scope ends with its branch).  Each distinguishable leaf is
+    searched on its own space and register order, as :func:`leaf_verify`
+    searches the same states written out in space order."""
+    plus, minus = eta(1, 2), eta(-1, 2)
+    basis = OrthoProductBasis("pm", [("A", 2), ("B", 2)], [
+        ProductState(lbl, (a, comp(b, 2)))
+        for lbl, a, b in (("x", plus, 0), ("y", plus, 1), ("z", minus, 0), ("w", minus, 1))
+    ])
+    branches = (("b0", kinds_0, ("x", "z")), ("b1", kinds_1, ("y", "w")))
+    root = measure("B", (eff("b0", P(B=0)), rest("b1")),
+                   {outcome: _attached_then_measured(kinds, labels)
+                    for outcome, kinds, labels in branches})
+    report = verify_protocol(root, basis, "siblings")
+    assert report.ok, report.failures
+
+    expected = []
+    for outcome, kinds, labels in branches:
+        space = basis.space().extended(
+            Subsystem(name, dim, party)
+            for i, kind in enumerate(kinds)
+            for name, dim, party in zip("abcd"[2 * i:2 * i + 2], RESOURCE_KINDS[kind][0], "AB"))
+        d = RESOURCE_KINDS[kinds[0]][0][0]
+        for k in range(d):
+            pair = np.zeros(d * d)
+            pair[k * d + k] = 1.0
+            states = []
+            for lbl in labels:
+                amps = np.kron(basis.state(lbl).joint().reshape(-1), pair)
+                for kind in kinds[1:]:
+                    amps = np.kron(amps, resource_amplitudes(kind))
+                states.append((lbl, Ket(space, amps)))
+            strategy = leaf_verify(states, ignore="abcd"[2:2 * len(kinds)])
+            assert strategy is not None
+            expected.append((f"root/{outcome}/a{k}", tuple(sorted(labels)), strategy.text()))
+    assert [(p, lbls, s.text()) for p, lbls, s in report.leaf_strategies] == expected
