@@ -467,14 +467,6 @@ class TileReport:
     groups: tuple
     text: str
 
-    @property
-    def rectangles(self):
-        return tuple(g for g in self.groups if g.is_rectangle)
-
-    @property
-    def irregular(self):
-        return tuple(g for g in self.groups if not g.is_rectangle)
-
 
 def _runs(sorted_indices):
     runs = []

@@ -65,10 +65,10 @@ def _load_basis(ref):
     if ref in BUILTIN_BASES:
         return get_basis(ref)
     path = Path(ref)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json" and path.is_file():
         try:
             return OrthoProductBasis.from_json(path.read_text(), name=path.stem)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read basis {path.name}: {exc}") from None
     raise UsageError(f"unknown basis {ref!r} (not a builtin, not a .json file)")
 
@@ -78,13 +78,15 @@ def _load_protocol(ref, basis_name=None):
     basis (``basis_name`` when given) must have the protocol's parties.  No
     built-in name ends in ``.pdl``, so a ``.pdl`` path needs no protocol table."""
     path = Path(ref)
-    if path.suffix == ".pdl" and path.exists():
+    if path.suffix == ".pdl" and path.is_file():
         from . import pdl
 
         try:
             doc = pdl.parse(path.read_text())
         except pdl.PdlError as exc:
             raise ParseError(exc) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read protocol {path.name}: {exc}") from None
         name, root, source, parties = path.stem, doc.root, path.name, doc.parties
         basis_name, own = basis_name or doc.basis, None
     else:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import RESOURCE_KINDS, resource_amplitudes, resource_ebits
-from .qstate import RANK_TOL, TOL, KetExpr, Subsystem, born
+from .qstate import RANK_TOL, TOL, KetExpr, Subsystem, born, group_index, scatter
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +311,21 @@ def _norms(rows):
     return np.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real)
 
 
-def _product_factors(space, groups, stack):
+def _product_factors(tensor):
     """Unit local factors of every state on every register group, or None.
 
-    ``groups`` partitions the registers of ``space`` and ``stack`` is
-    ``(n, D)``.  Returns one ``(n, d_g)`` array per group, or None when some
-    state has a group cut with ``s[1] > RANK_TOL``.  The fibres through a
+    ``tensor`` is ``(n, d_1, ..., d_k)``: n states over k register groups.
+    Returns one ``(n, d_g)`` array per group, or None when some state has a
+    group cut with ``s[1] > RANK_TOL``.  The fibres through a
     state's largest entry span a product approximation that has rank one
     across every group cut, so by Eckart-Young its residual bounds ``s[1]``
     of each cut from above: a residual within ``RANK_TOL`` proves the state
     product without an SVD.  Only the other states go to the per-cut SVD,
     so every verdict equals the SVD's.
     """
-    n, k = len(stack), len(groups)
-    dims = tuple(prod(space.subsystem(r).dim for r in g) for g in groups)
-    flat = space.split_axes([r for g in groups for r in g], stack).reshape(n, -1)
-    tensor = flat.reshape((n,) + dims)
+    n, dims = len(tensor), tensor.shape[1:]
+    k = len(dims)
+    flat = tensor.reshape(n, -1)
     rows = np.arange(n)
     top = np.abs(flat).argmax(axis=1)
     pivot = np.unravel_index(top, dims)
@@ -339,8 +338,9 @@ def _product_factors(space, groups, stack):
         factors = [f / _norms(f)[:, None] for f in fibres]
         resid = _norms(flat - approx)
     for c in np.flatnonzero(~(resid <= RANK_TOL)):
-        for g, f in zip(groups, factors):
-            u, s, _ = np.linalg.svd(space.split_axes(g, stack[c]), full_matrices=False)
+        for g, f in enumerate(factors):
+            cut = np.moveaxis(tensor[c], g, 0).reshape(dims[g], -1)
+            u, s, _ = np.linalg.svd(cut, full_matrices=False)
             if len(s) > 1 and s[1] > RANK_TOL:
                 return None
             f[c] = u[:, 0]
@@ -396,17 +396,22 @@ def leaf_verify(states, ignore=(), tol=TOL):
     if not states:
         return StrategyNode((), None, ())
     space = states[0][1].space
-    return _strategy([lbl for lbl, _ in states], np.array([k.amplitudes for _, k in states]),
-                     space, space, ignore, tol)
+    stack = np.array([k.amplitudes for _, k in states])
+    cols = np.flatnonzero((stack != 0).any(axis=0))
+    return _strategy([lbl for lbl, _ in states], stack[:, cols], cols, space, space, ignore, tol)
 
 
-def _strategy(labels, stack, space, layout, ignore, tol):
-    """:func:`leaf_verify` of the nonempty ``(n, D)`` ``stack``, whose flat
-    axis runs over the registers of ``space`` in the order of ``layout``."""
+def _strategy(labels, stack, cols, space, layout, ignore, tol, memo=None):
+    """:func:`leaf_verify` of the nonempty ``(n, C)`` ``stack`` whose
+    columns hold the flat indices ``cols`` of the registers of ``space``,
+    in the order of ``layout``; ``memo`` keeps the index tables."""
     drop = tuple(n for n in space.names if n in ignore)
     owners = space.without(drop).owners()
-    groups = list(owners.values()) + ([drop] if drop else [])
-    factors = _product_factors(layout, groups, stack)
+    groups = tuple(owners.values()) + ((drop,) if drop else ())
+    dims = [prod(space.subsystem(n).dim for n in g) for g in groups]
+    # only the levels some state uses: the others add nothing to any overlap
+    tensor, _ = scatter(stack, group_index(layout, groups, memo)[:, cols], dims)
+    factors = _product_factors(tensor)
     if factors is None:
         return None
     shared = factors[-1]
@@ -543,9 +548,10 @@ class _Candidates(NamedTuple):
     """The basis states that reach a node, as one stack."""
 
     labels: tuple
-    stack: np.ndarray    # (n, D): flat states over the registers of the node's space
+    stack: np.ndarray    # (n, C): the states' amplitudes at the flat indices cols
     weights: np.ndarray  # (n,): probability of reaching the node, per state
-    layout: object       # the node's space, reordered as the stack's flat axis runs
+    layout: object       # the node's space, reordered as the flat indices run
+    cols: np.ndarray     # (C,): ascending flat indices where some state is nonzero
 
 
 class _Walk:
@@ -559,8 +565,10 @@ class _Walk:
         self.n_measurements = 0
         self.n_leaves = 0
         self.leaf_strategies = []
-        # effect matrices built during this walk; repeated subtrees reuse them
+        # effect matrices and index tables built during this walk; repeated
+        # subtrees and layouts reuse them
         self.node_memo = {}
+        self.tables = {}
 
     def fail(self, path, kind, detail):
         self.failures.append({"node": path, "kind": kind, "detail": detail})
@@ -609,11 +617,12 @@ class _Walk:
         dims, _ = RESOURCE_KINDS[node.kind]
         new_subs = [Subsystem(lbl, d, owner)
                     for lbl, d, owner in zip(node.labels, dims, node.endpoints)]
-        new_space = space.extended(new_subs)
         amps = resource_amplitudes(node.kind)
-        stack = (cands.stack[:, :, None] * amps).reshape(len(cands.labels), new_space.dim)
-        self.run(node.child, new_space,
-                 cands._replace(stack=stack, layout=cands.layout.extended(new_subs)),
+        nonzero = np.flatnonzero(amps)
+        cols = (cands.cols[:, None] * len(amps) + nonzero).reshape(-1)
+        stack = (cands.stack[:, :, None] * amps[nonzero]).reshape(len(cands.labels), len(cols))
+        self.run(node.child, space.extended(new_subs),
+                 cands._replace(stack=stack, layout=cands.layout.extended(new_subs), cols=cols),
                  resources + [_Resource(node.kind, node.endpoints, node.labels)],
                  acted_keys, path)
 
@@ -625,12 +634,13 @@ class _Walk:
         # the teleported dimension is the joint support of the moved
         # registers over the surviving candidates, not the raw register size
         names = owners[node.source]
+        moved_dim = d_moved = prod(space.subsystem(n).dim for n in names)
         if cands.labels:
-            split = cands.layout.split_axes(names, cands.stack)  # (n, d_moved, d_rest)
-            support = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
+            groups = (names, tuple(n for n in space.names if n not in names))
+            index = group_index(cands.layout, groups, self.tables)[:, cands.cols]
+            block, _ = scatter(cands.stack, index, (d_moved, space.dim // d_moved), whole=1)
+            support = block.transpose(1, 0, 2).reshape(d_moved, -1)  # (d_moved, n R')
             moved_dim = int(np.linalg.matrix_rank(support, tol=RANK_TOL))
-        else:
-            moved_dim = prod(space.subsystem(n).dim for n in names)
         if not abs(node.cost - log2(moved_dim)) <= self.tol:  # NaN fails too
             self.fail(path, "merge-cost",
                       f"declared {node.cost} != log2({moved_dim})")
@@ -667,8 +677,10 @@ class _Walk:
             (r.kind, tuple(sorted(r.endpoints)), r.labels)
             for r in resources if any(lbl in restricted for lbl in r.labels))
 
-        out = born(space, acted, mats, cands.stack, self.tol, cands.layout)
-        for e, (effect, idx, posts) in enumerate(zip(node.effects, out.survivors, out.posts)):
+        out = born(space, acted, mats, cands.stack, self.tol, cands.layout, cands.cols,
+                   self.tables)
+        for e, (effect, idx, (posts, cols)) in enumerate(zip(node.effects, out.survivors,
+                                                             out.posts)):
             labels = tuple(cands.labels[c] for c in idx.tolist())
             if len(idx) > 1:
                 gram = np.abs(posts.conj() @ posts.T)
@@ -681,7 +693,7 @@ class _Walk:
                               f"overlap {worst:.3e}")
                     continue
             survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx],
-                                    out.layout)
+                                    out.layout, cols)
             self.run(node.children.get(effect.name), space, survivors, resources,
                      new_acted, f"{path}/{effect.name}")
 
@@ -723,7 +735,8 @@ class _Walk:
             if (r.kind, tuple(sorted(r.endpoints)), r.labels) not in acted_keys
             for lbl in r.labels
         ]
-        strategy = (_strategy(labels, cands.stack, space, cands.layout, untouched, self.tol)
+        strategy = (_strategy(labels, cands.stack, cands.cols, space, cands.layout, untouched,
+                              self.tol, self.tables)
                     if labels else StrategyNode((), None, ()))
         if strategy is None:
             self.fail(path, "leaf-indistinguishable",
@@ -745,8 +758,9 @@ def verify_protocol(root, basis, name="protocol", tol=TOL):
     walk = _Walk(basis, tol)
     space = basis.space()
     stack = np.array([basis.state(lbl).joint() for lbl in basis.labels])
-    cands = _Candidates(basis.labels, stack.reshape(len(basis), space.dim),
-                        np.ones(len(basis)), space)
+    stack = stack.reshape(len(basis), space.dim)
+    cols = np.flatnonzero((stack != 0).any(axis=0))
+    cands = _Candidates(basis.labels, stack[:, cols], np.ones(len(basis)), space, cols)
     try:
         walk.run(root, space, cands, [], frozenset(), "root")
     except (KeyError, ValueError) as exc:

@@ -55,6 +55,7 @@ class CompositeSpace:
         self._index = {s.name: i for i, s in enumerate(subs)}
         self.dims = tuple(s.dim for s in subs)
         self.dim = prod(self.dims) if subs else 1
+        self._hash = None
 
     def __repr__(self):
         inner = ", ".join(f"{s.name}:{s.dim}" for s in self.subsystems)
@@ -64,7 +65,10 @@ class CompositeSpace:
         return isinstance(other, CompositeSpace) and self.subsystems == other.subsystems
 
     def __hash__(self):
-        return hash(self.subsystems)
+        # a walk keys its index tables by layout, so each is hashed once
+        if self._hash is None:
+            self._hash = hash(self.subsystems)
+        return self._hash
 
     @property
     def names(self):
@@ -193,44 +197,91 @@ class Born(NamedTuple):
     probs: np.ndarray   # (E, n): probability of effect e on state c
     sums: np.ndarray    # (n,): total probability of each state over the effects
     survivors: tuple    # per effect: indices of the states with probability > tol
-    posts: Iterator     # per effect, in turn: (k, D) normalized post-states of those
-    layout: CompositeSpace  # the register order of the post-states' flat axis
+    posts: Iterator     # per effect, in turn: (values, cols) of the survivors' post-states
+    layout: CompositeSpace  # the register order the post-states' flat indices run in
 
 
-def born(space, acted, matrices, stack, tol=TOL, layout=None):
+def group_index(layout, groups, memo=None):
+    """``(len(groups), D)`` table: row g holds, for every flat index of
+    ``layout``, the flat index over the registers ``groups[g]`` in the order
+    given.  ``memo``, a dict the caller keeps, holds the tables built."""
+    key = (layout, groups)
+    if memo is not None and key in memo:
+        return memo[key]
+    coords = np.indices(layout.dims).reshape(len(layout.dims), layout.dim)
+    table = np.zeros((len(groups), layout.dim), np.intp)
+    for row, names in zip(table, groups):
+        for name in names:
+            row *= layout.subsystem(name).dim
+            row += coords[layout.axis(name)]
+    if memo is not None:
+        memo[key] = table
+    return table
+
+
+def scatter(stack, index, dims, whole=0):
+    """Scatter the ``(n, C)`` ``stack``, whose column j sits at level
+    ``index[g, j]`` of group g (of ``dims[g]`` levels), into a dense
+    ``(n, d'_1, ..., d'_k)`` tensor over only the levels some column uses,
+    kept in ascending order.  The first ``whole`` groups keep all their
+    levels.  Returns the tensor and, per group, its levels."""
+    levels, at = [], []
+    for g, (row, d) in enumerate(zip(index, dims)):
+        if g < whole:
+            levels.append(np.arange(d))
+            at.append(row)
+            continue
+        used = np.zeros(d, bool)
+        used[row] = True
+        levels.append(used.nonzero()[0])
+        at.append(levels[-1].searchsorted(row))
+    tensor = np.zeros((len(stack),) + tuple(map(len, levels)), stack.dtype)
+    tensor[(slice(None),) + tuple(at)] = stack
+    return tensor, levels
+
+
+def born(space, acted, matrices, stack, tol=TOL, layout=None, cols=None, memo=None):
     """Born rule for projective effects on the named registers ``acted``.
 
     ``matrices`` is a sequence of E effect matrices acting on ``acted`` in
-    the given order, and ``stack`` is an ``(n, D)`` array of flat vectors
-    over the registers of ``space``, in the order of ``layout`` (by default
-    ``space`` itself).  Probabilities are ``tr(M_e rho_c)`` with ``rho_c``
-    the reduced state of the acted registers, so only the (effect, state)
-    pairs whose probability exceeds ``tol`` are projected; an effect that
-    no state survives yields an empty stack.  The post-states keep the
-    layout the projection leaves them in, ``Born.layout``: ``acted`` first,
-    then the other registers in ``space`` order.  Each effect's post-states
-    are built when the caller reaches them, so the buffers of one effect
-    are alive at a time.  The dtype follows the inputs: real effects on
-    real states stay real.
+    the given order.  ``stack`` is an ``(n, C)`` array of states over the
+    registers of ``space`` in the order of ``layout`` (by default ``space``):
+    column j holds flat index ``cols[j]`` (ascending; ``None``: all D) and
+    every other amplitude is zero.  The states are scattered into an
+    ``(n, d, R')`` block over the R' rest indices they use, ascending, which
+    is space order.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
+    reduced state of the acted registers; only the (effect, state) pairs
+    above ``tol`` are projected.  Each effect's post-states come when the
+    caller reaches them, as ``(values, cols)``: a ``(k, C')`` stack and its
+    ascending flat indices in ``Born.layout`` (``acted`` first, then the
+    other registers in ``space`` order), with all-zero columns dropped, and
+    empty when no state survives.  ``memo`` keeps the :func:`group_index`
+    tables.  The dtype follows the inputs: real effects on real states stay
+    real.
     """
     mats = np.asarray(matrices)
+    rest = tuple(s.name for s in space.subsystems if s.name not in acted)
     out = CompositeSpace([space.subsystem(n) for n in acted]
-                         + [s for s in space.subsystems if s.name not in acted])
+                         + [space.subsystem(n) for n in rest])
     d = mats.shape[1]
-    split = (layout or space).split_axes(out.names, stack).reshape(len(stack), d, space.dim // d)
-    rho = split @ split.conj().transpose(0, 2, 1)              # (n, d, d)
+    index = group_index(layout or space, (tuple(acted), rest), memo)
+    block, (_, kept) = scatter(stack, index if cols is None else index[:, cols],
+                               (d, space.dim // d), whole=1)
+    rho = block @ block.conj().transpose(0, 2, 1)              # (n, d, d)
     probs = np.einsum("eij,cji->ec", mats, rho).real           # tr(M_e rho_c)
-    survivors = tuple(np.flatnonzero(row > tol) for row in probs)
+    survivors = tuple((row > tol).nonzero()[0] for row in probs)
+    flat = np.arange(d)[:, None] * (space.dim // d) + kept     # (d, R') flat indices
 
     def posts():
-        empty = np.empty((0, space.dim), np.result_type(mats, split))
+        empty = np.empty((0, 0), np.result_type(mats, block)), np.empty(0, np.intp)
         for m, row, idx in zip(mats, probs, survivors):
             if not len(idx):
                 yield empty
                 continue
-            projected = m @ (split if len(idx) == len(split) else split[idx])  # (k, d, r)
+            projected = m @ (block if len(idx) == len(block) else block[idx])  # (k, d, R')
             projected /= np.sqrt(row[idx])[:, None, None]
-            yield projected.reshape(len(idx), space.dim)
+            nonzero = projected.any(axis=0)
+            yield projected[:, nonzero], flat[nonzero]
 
     return Born(probs, probs.sum(axis=0), survivors, posts(), out)
 

@@ -179,12 +179,24 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
                  id="verify-basis-wrong-parties"),
     pytest.param(("account", "prop5_II33", "--basis", "bennett_3x3"), None,
                  id="account-basis-wrong-parties"),
+    pytest.param(("verify", "DIR.pdl"), None, id="verify-directory"),
+    pytest.param(("account", "DIR.pdl"), None, id="account-directory"),
+    pytest.param(("check-basis", "DIR.json"), None, id="check-basis-directory"),
+    pytest.param(("classify", "DIR.json"), None, id="classify-directory"),
+    pytest.param(("tiles", "DIR.json", "--cut", "AB|C"), None, id="tiles-directory"),
+    pytest.param(("verify", "FILE"), b"parties { A:3 \xff }", id="verify-not-utf8"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
-    path = tmp_path / "basis.json"
-    if document is not None:
+    # FILE holds the document (a .pdl one when given as bytes); DIR.* are directories
+    path = tmp_path / ("protocol.pdl" if isinstance(document, bytes) else "basis.json")
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    elif document is not None:
         path.write_text(document)
-    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    for name in ("DIR.pdl", "DIR.json"):
+        (tmp_path / name).mkdir()
+    paths = {"FILE": path, "DIR.pdl": tmp_path / "DIR.pdl", "DIR.json": tmp_path / "DIR.json"}
+    code, out, err = run(capsys, *(str(paths[a]) if a in paths else a for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -371,7 +371,7 @@ def test_product_test_decides_like_svd(dtype, eps):
     not, so those states take the SVD fallback and still come out product.
     """
     from gnpb.engine import _product_factors
-    from gnpb.qstate import RANK_TOL, CompositeSpace, Subsystem
+    from gnpb.qstate import RANK_TOL
 
     rng = np.random.default_rng(11)
 
@@ -379,7 +379,6 @@ def test_product_test_decides_like_svd(dtype, eps):
         g = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-    space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("B", 4, "B")])
     n = 6
     a, b = unit(n, 3), unit(n, 4)
     # a second direction orthogonal to the first on both sides, on half the states
@@ -392,9 +391,7 @@ def test_product_test_decides_like_svd(dtype, eps):
     size = eps * (np.arange(n) % 2)
     mats = a[:, :, None] * b[:, None, :] + size[:, None, None] * a2[:, :, None] * b2[:, None, :]
     mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
-    stack = mats.reshape(n, 12).astype(dtype)
-
-    got = _product_factors(space, [("A",), ("B",)], stack)
+    got = _product_factors(mats.astype(dtype))
     svds = [np.linalg.svd(m) for m in mats]
     assert (got is None) == any(s[1] > RANK_TOL for _, s, _ in svds)
     if got is not None:
@@ -416,16 +413,22 @@ def test_product_test_on_three_groups():
     phi = np.zeros(4)
     phi[[0, 3]] = 1 / np.sqrt(2)  # x and y share an EPR pair
     entangled = space.unsplit_axes(("A", "B", "x", "y"), np.kron(np.kron(a, b), phi)[:, None])
+
+    def factors(groups, *states):
+        dims = [np.prod([space.subsystem(r).dim for r in g]) for g in groups]
+        names = [r for g in groups for r in g]
+        return _product_factors(space.split_axes(names, np.array(states)).reshape(-1, *dims))
+
     groups = [("A",), ("B",), ("x", "y")]
-    fa, fb, fxy = _product_factors(space, groups, np.array([product]))
+    fa, fb, fxy = factors(groups, product)
     assert abs(np.vdot(fa[0], a)) == pytest.approx(1.0)
     assert abs(np.vdot(fb[0], b)) == pytest.approx(1.0)
     assert abs(np.vdot(fxy[0], np.kron(x, y))) == pytest.approx(1.0)
     # the EPR pair inside one group leaves the state product across the groups
-    assert _product_factors(space, groups, np.array([product, entangled])) is not None
+    assert factors(groups, product, entangled) is not None
     parties = [("A", "x"), ("B", "y")]
-    assert _product_factors(space, parties, np.array([product])) is not None
-    assert _product_factors(space, parties, np.array([product, entangled])) is None
+    assert factors(parties, product) is not None
+    assert factors(parties, product, entangled) is None
 
 
 def test_effect_matrices_built_once_per_walk(monkeypatch):
@@ -481,6 +484,12 @@ SPLIT_XY = "B splits {x, y}\n-> block {x}\n  identified: x\n-> block {y}\n  iden
      [("root/hit/ap", ("x", "y"), SPLIT_XY), ("root/hit/am", ("x", "y"), SPLIT_XY)],
      None),
     ((Distinguishable([]), Fail()),
+     [],
+     [("root/hit/ap", ("x", "y"), SPLIT_XY), ("root/hit/am", ("x", "y"), SPLIT_XY),
+      ("root/miss/b0", (), "identified: ")],
+     0.9999999999999998),
+    # a resource attached where no state arrives extends an empty stack
+    ((AttachResource("EPR", ("A", "B"), ("c", "d"), Distinguishable([])), Fail()),
      [],
      [("root/hit/ap", ("x", "y"), SPLIT_XY), ("root/hit/am", ("x", "y"), SPLIT_XY),
       ("root/miss/b0", (), "identified: ")],

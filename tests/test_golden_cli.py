@@ -11,9 +11,11 @@ leave every byte alone.  After a deliberate change to a report, regenerate
 the file with ``PYTHONPATH=src python tests/test_golden_cli.py`` and review
 the diff.
 
-Two more guards pin what no report prints: a digest of every leaf
-strategy the thirteen golden ``verify`` runs find, and the ``parse error``
-line of a few broken ``.pdl`` documents.
+Three more guards pin what no report prints: a digest of every leaf
+strategy the thirteen golden ``verify`` runs find, the ``parse error``
+line of a few broken ``.pdl`` documents, and digests of the reports and
+strategies of two protocols on rotated bases, whose states have no zero
+amplitude.
 """
 
 import contextlib
@@ -23,9 +25,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gnpb.bases import get_basis
+from gnpb.bases import OrthoProductBasis, ProductState, get_basis
 from gnpb.cli import main
 from gnpb.engine import verify_protocol
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
@@ -106,6 +109,57 @@ def strategy_digest(name, basis=None):
 def test_leaf_strategies_match_digest(key):
     name, _, basis = key.partition("@")
     assert strategy_digest(name, basis or None) == STRATEGY_DIGESTS[key]
+
+
+def _rotated(basis, angle, seed=7):
+    """``basis`` with every party's factors turned by ``exp(i angle H)``,
+    ``H`` a seeded random Hermitian matrix: a local unitary, so the copy is
+    still an orthogonal product basis, and no joint amplitude is zero."""
+    rng = np.random.default_rng(seed)
+    turns = []
+    for _, d in basis.parties:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, v = np.linalg.eigh(g + g.conj().T)
+        turns.append((v * np.exp(1j * angle * w)) @ v.conj().T)
+    return OrthoProductBasis(basis.name, basis.parties, [
+        ProductState(s.label, tuple(u @ f for u, f in zip(turns, s.factors)))
+        for s in basis.states])
+
+
+# sha256 (first 16 hex digits) of the ``to_dict`` JSON and the strategy texts
+# of a walk on a rotated basis, where no basis state has a zero amplitude: a
+# full turn (angle 1) fails at the first orthogonality checks, a slight one
+# (angle 1e-3) under ``tol`` 1e-3 reaches the leaves and the ledger.  An
+# orthogonality failure is pinned by its node and overlap, not by the pair it
+# names: on the full turn several pairs overlap 1 to within rounding, and
+# which one wins depends on the last bits of a BLAS Gram sum, which change
+# with the number of zero columns the sum runs over.
+DENSE_SUPPORT_DIGESTS = {
+    ("prop6", 1.0, 1e-9): "f1db3c8cc853d22c",
+    ("prop6", 1e-3, 1e-3): "5b4f4c0a2d29db27",
+    ("prop5_II33", 1.0, 1e-9): "2c4ccf960b0b0561",
+    ("prop5_II33", 1e-3, 1e-3): "7ca7d9a3acac7f5e",
+}
+
+
+def dense_support_digest(name, angle, tol):
+    proto = get_protocol(name)
+    basis = _rotated(proto.basis(), angle)
+    assert np.all(basis.joint_matrix() != 0)
+    report = verify_protocol(proto.root, basis, name, tol)
+    doc = report.to_dict()
+    for f in doc["failures"]:
+        if f["kind"] == "orthogonality":
+            f["detail"] = f["detail"].rpartition(" overlap ")[2]
+    text = json.dumps(doc) + "".join(
+        f"\n{path}|{' '.join(labels)}\n{strategy.text()}"
+        for path, labels, strategy in report.leaf_strategies)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_SUPPORT_DIGESTS), ids=str)
+def test_dense_support_reports_are_pinned(case):
+    assert dense_support_digest(*case) == DENSE_SUPPORT_DIGESTS[case]
 
 
 def _broken(fixture, old, new, count=1):

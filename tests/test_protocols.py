@@ -21,8 +21,11 @@ from gnpb.qstate import born
 def _born1(space, acted, matrix, vec):
     """One effect on one state: (probability, normalized post-state)."""
     out = born(space, acted, [matrix], vec[None])
+    values, cols = next(out.posts)
+    post = np.zeros(space.dim, values.dtype)
+    post[cols] = values[0]
     # post-states come acted registers first (out.layout); back to space order
-    return float(out.probs[0, 0]), out.layout.split_axes(space.names, next(out.posts))[0, :, 0]
+    return float(out.probs[0, 0]), out.layout.split_axes(space.names, post)[:, 0]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))

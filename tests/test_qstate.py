@@ -77,11 +77,13 @@ def _proj(vec):
 def _born1(space, acted, matrix, vec, tol=1e-9):
     """One effect on one state: (probability, post-state or None)."""
     out = born(space, acted, [matrix], np.asarray(vec)[None], tol)
-    posts = next(out.posts)
-    if not len(posts):
+    values, cols = next(out.posts)
+    if not len(values):
         return float(out.probs[0, 0]), None
+    post = np.zeros(space.dim, values.dtype)
+    post[cols] = values[0]
     # post-states come acted registers first (out.layout); back to space order
-    return float(out.probs[0, 0]), out.layout.split_axes(space.names, posts)[0, :, 0]
+    return float(out.probs[0, 0]), out.layout.split_axes(space.names, post)[:, 0]
 
 
 def _space(*dims):
@@ -206,9 +208,13 @@ def test_pairwise_max_overlap():
 @st.composite
 def born_cases(draw):
     """A small space, an acted subset, a complete projective measurement on
-    it and a stack of states; real or complex throughout."""
+    it and a stack of states, real or complex throughout.  The stack's flat
+    axis runs in a random register order, and its states are nonzero only
+    on a random support: every column (``cols=None`` or all of them listed),
+    one column, or a random subset."""
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     space = CompositeSpace([Subsystem(n, d, n) for n, d in zip("ABC", dims)])
+    layout = CompositeSpace(draw(st.permutations(space.subsystems)))
     acted = tuple(draw(st.permutations(space.names))[:draw(st.integers(1, len(dims)))])
     is_complex = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -221,26 +227,40 @@ def born_cases(draw):
     q, _ = np.linalg.qr(gaussian(d, d))
     cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
     mats = [q[:, a:b] @ q[:, a:b].conj().T for a, b in zip([0] + cuts, cuts + [d])]
-    stack = gaussian(draw(st.integers(1, 4)), space.dim)
+    support = draw(st.sampled_from(["none", "all", "one", "subset"]))
+    cols = {"none": None, "all": np.arange(space.dim),
+            "one": np.array([draw(st.integers(0, space.dim - 1))]),
+            "subset": np.array(sorted(draw(st.sets(st.integers(0, space.dim - 1), min_size=1))))
+            }[support]
+    stack = gaussian(draw(st.integers(1, 4)), space.dim if cols is None else len(cols))
     stack /= np.linalg.norm(stack, axis=1, keepdims=True)
     tol = draw(st.sampled_from([1e-9, 0.2]))
-    return space, acted, mats, stack, tol
+    return space, layout, acted, mats, stack, cols, tol
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(born_cases())
 def test_born_stack_matches_one_projection_per_row(case):
-    space, acted, mats, stack, tol = case
-    out = born(space, acted, mats, stack, tol)
+    space, layout, acted, mats, stack, cols, tol = case
+    full = np.zeros((len(stack), space.dim), stack.dtype)
+    full[:, slice(None) if cols is None else cols] = stack
+    dense = layout.split_axes(space.names, full).reshape(len(stack), space.dim)  # space order
+    out = born(space, acted, mats, stack, tol, layout, cols)
     assert out.probs.shape == (len(mats), len(stack))
     assert np.allclose(out.sums, 1.0, rtol=0, atol=1e-12)
-    for e, (m, idx, posts) in enumerate(zip(mats, out.survivors, out.posts)):
-        projected = [m @ space.split_axes(acted, row) for row in stack]
+    for e, (m, idx, (values, post_cols)) in enumerate(zip(mats, out.survivors, out.posts)):
+        projected = [m @ space.split_axes(acted, row) for row in dense]
         expected = np.array([np.linalg.norm(x) ** 2 for x in projected])
         assert np.allclose(out.probs[e], expected, rtol=0, atol=1e-12)
         assert np.array_equal(idx, np.flatnonzero(expected > tol))
-        assert posts.shape == (len(idx), space.dim)
-        assert posts.dtype == np.result_type(m, stack)
+        assert values.shape == (len(idx), len(post_cols))
+        assert values.dtype == np.result_type(m, stack)
+        assert post_cols.dtype.kind == "i"
+        assert np.all(np.diff(post_cols) > 0)
+        assert np.all((0 <= post_cols) & (post_cols < space.dim))
+        assert np.all((values != 0).any(axis=0))
+        posts = np.zeros((len(idx), space.dim), values.dtype)
+        posts[:, post_cols] = values
         assert np.allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
         for c, post in zip(idx, posts):
             # left in the projection's layout: acted first, the rest in space order
