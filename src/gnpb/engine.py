@@ -404,11 +404,16 @@ def leaf_verify(states, ignore=(), tol=TOL):
 def _strategy(labels, stack, cols, space, layout, ignore, tol, memo=None):
     """:func:`leaf_verify` of the nonempty ``(n, C)`` ``stack`` whose
     columns hold the flat indices ``cols`` of the registers of ``space``,
-    in the order of ``layout``; ``memo`` keeps the index tables."""
+    in the order of ``layout``; ``memo`` keeps the index tables and, per
+    ``(space, ignored registers)``, the party groups and their dims."""
     drop = tuple(n for n in space.names if n in ignore)
-    owners = space.without(drop).owners()
-    groups = tuple(owners.values()) + ((drop,) if drop else ())
-    dims = [prod(space.subsystem(n).dim for n in g) for g in groups]
+    memo = {} if memo is None else memo
+    key = ("parties", space, drop)
+    if key not in memo:
+        owners = space.without(drop).owners()
+        groups = tuple(owners.values()) + ((drop,) if drop else ())
+        memo[key] = owners, groups, [prod(space.subsystem(n).dim for n in g) for g in groups]
+    owners, groups, dims = memo[key]
     # only the levels some state uses: the others add nothing to any overlap
     tensor, _ = scatter(stack, group_index(layout, groups, memo)[:, cols], dims)
     factors = _product_factors(tensor)

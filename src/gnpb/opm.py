@@ -56,24 +56,8 @@ def constrained_pairs(basis, group):
     overlap forces ``<a_i|E|a_j> = 0``, and the per-state group factors."""
     group_factors, rest_factors = group_factorization(basis, group)
     gram = np.abs(rest_factors.conj() @ rest_factors.T)
-    return np.nonzero(np.triu(gram > TOL, k=1)), group_factors
-
-
-def hermitian_basis(d):
-    """Real basis of d x d Hermitian matrices, as a ``(d^2, d, d)`` array.
-
-    The d diagonal units come first, then for each ``k < l`` the symmetric
-    and the antisymmetric element on (k, l).
-    """
-    mats = np.zeros((d * d, d, d), dtype=complex)
-    diag = np.arange(d)
-    mats[diag, diag, diag] = 1.0
-    k, l = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(len(k))
-    mats[sym, k, l] = mats[sym, l, k] = 1.0
-    mats[sym + 1, k, l] = -1.0j
-    mats[sym + 1, l, k] = 1.0j
-    return mats
+    upper = np.arange(len(gram))
+    return ((gram > TOL) & (upper[:, None] < upper)).nonzero(), group_factors
 
 
 @dataclass(frozen=True)
@@ -82,7 +66,7 @@ class HermitianSolutionSpace:
 
     group: tuple
     local_dim: int
-    basis_matrices: np.ndarray  # (dim, d, d), Hilbert-Schmidt orthonormal
+    basis_matrices: np.ndarray  # (dim, d, d), orthonormal in opm_solution_space's coordinates
     factors: np.ndarray         # (n_states, d): per-state group factor a_i
     pairs: tuple                # index arrays (i, j) of the constrained pairs
 
@@ -104,34 +88,87 @@ class HermitianSolutionSpace:
 def opm_solution_space(basis, group):
     """Solve the OPM constraint system for one party group.
 
-    Returns an orthonormal (in Hilbert-Schmidt sense) basis of the real
-    solution space, computed by SVD nullspace extraction over the real
-    parametrization of Hermitian matrices.
+    Returns a basis of the real solution space, orthonormal in the real
+    coordinates of a Hermitian E: the diagonal, then per k < l the real and
+    minus the imaginary part of E[k, l].  A pair constrains only the entries
+    {k, l} (nodes) where its factors are nonzero; the nodes that share pairs
+    form independent blocks, each solved by the SVD of its QR factor R.
     """
     group = tuple(group)
     (i, j), factors = constrained_pairs(basis, group)
     d = factors.shape[1]  # from the party dims, so also with no states
-    h_flat = hermitian_basis(d).reshape(d * d, d * d)
-    if len(i):
-        # <a_i|h|a_j> = vec(conj(a_i) (x) a_j) . vec(h): all pairs, all h at once
-        vals = _kron_rows(factors[i].conj(), factors[j]) @ h_flat.T
-        # one (re, im) row pair per constrained pair: the nullspace basis the
-        # SVD returns, and so the witness found, depends on the row order
-        rows = np.stack([vals.real, vals.imag], axis=1).reshape(-1, d * d)
-        # R has the rows' singular values and row space, and its SVD skips
-        # the rows x rows left factor
-        _, svals, vt = np.linalg.svd(np.linalg.qr(rows, mode="r"))
-        rank = int(np.sum(svals > RANK_TOL * svals[0]))
-        null_rows = vt[rank:]
-    else:
-        null_rows = np.eye(d * d)
-    return HermitianSolutionSpace(
-        group=group,
-        local_dim=d,
-        basis_matrices=(null_rows @ h_flat).reshape(-1, d, d),
-        factors=factors,
-        pairs=(i, j),
-    )
+    r = np.arange(d)
+    k, l = (r[:, None] < r).nonzero()
+    rk, cl = np.concatenate([r, k]), np.concatenate([r, l])  # node n is {rk[n], cl[n]}
+    first = np.concatenate([r, np.arange(d, d * d, 2)])  # a node's first coordinate
+    width = 1 + (first >= d)
+    # edges (pair, node) on the exact zero pattern: <a_i|E|a_j> has the
+    # terms conj(a_i[k]) a_j[l] E[k, l] + conj(a_i[l]) a_j[k] E[l, k]
+    ni, nj = factors[i] != 0, factors[j] != 0
+    ep, en = np.divmod((ni[:, rk] & nj[:, cl] | ni[:, cl] & nj[:, rk]).ravel().nonzero()[0], len(rk))
+    # label propagation: every node and pair ends with its block's smallest node
+    label = np.arange(len(rk))
+    while True:
+        plabel = np.full(len(i), len(rk) - 1)
+        np.minimum.at(plabel, ep, label[en])
+        low = label.copy()
+        np.minimum.at(low, en, plabel[ep])
+        low = low[low]  # a label's own label lies in the same block and is no larger
+        if (low == label).all():
+            break
+        label = low
+    plabel = label[plabel]  # a pair with no edge (a zero factor) adds zero rows
+    # number the blocks by shape, free nodes (no pairs) first, so that one
+    # stacked QR and SVD solves all blocks of a shape
+    cols = np.bincount(label.repeat(width), minlength=len(rk))
+    npairs = np.bincount(plabel, minlength=len(rk))
+    shape = npairs * (d * d + 1) + cols  # 0 for a node that is not its block's smallest
+    by_shape = shape.argsort(kind="stable")[(shape == 0).sum():]
+    number = np.empty(len(rk), int)
+    number[by_shape] = np.arange(len(by_shape))
+    comp, pcomp = number[label], number[plabel]
+    shape, cols, npairs = shape[by_shape], cols[by_shape], npairs[by_shape]
+    # a block's columns ascend in coordinate order, its rows in pair order
+    # with re and im interleaved: the nullspace basis the SVD returns, and
+    # so the witness found, depends on this order
+    perm = comp.repeat(width).argsort(kind="stable")
+    col0, row0 = cols.cumsum() - cols, 2 * (npairs.cumsum() - npairs)
+    local = (np.arange(d * d) - col0.repeat(cols))[perm.argsort()]
+    row = 2 * pcomp.argsort(kind="stable").argsort()
+    buf = np.zeros((2 * len(pcomp), cols[npairs > 0].max(initial=0)))
+    flat, w = buf.reshape(-1), buf.shape[1]
+    f, fi, fj, off = factors.ravel(), i[ep] * d, j[ep] * d, en >= d
+    x = f[fi + rk[en]].conj() * f[fj + cl[en]]
+    y = f[fi + cl[en]].conj() * f[fj + rk[en]] * off  # 0 on the diagonal, where y = x
+    at, s = row[ep] * w + local[first[en]], x + y
+    flat[at], flat[at + w] = s.real, s.imag  # diagonal: x; sym: x + y
+    at, x, y = at[off] + 1, x[off], y[off]
+    flat[at], flat[at + w] = x.imag - y.imag, y.real - x.real  # anti: i (y - x)
+    buf += 0.0  # no -0.0: one block is then the dense system's rows bit for bit
+    solved, top = [], 0.0
+    bounds = [0] + ((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist() + [len(shape)]
+    for b0, b1 in zip(bounds, bounds[1:]):
+        n, c, rows = b1 - b0, cols[b0], 2 * npairs[b0]
+        if rows:
+            stack = buf[row0[b0]:row0[b0] + n * rows, :c].reshape(n, rows, c)
+            # R keeps the rows' singular values and row space, not rows x rows
+            svals, vt = np.linalg.svd(np.linalg.qr(stack, mode="r"))[1:]
+            top = max(top, svals[:, 0].max())
+            solved.append((svals, vt, perm[col0[b0]:col0[b0] + n * c].reshape(n, c)))
+    null = [np.eye(d * d, dtype=bool)[perm[:cols[npairs == 0].sum()]]]  # free nodes
+    for svals, vt, where in solved:
+        # the whole system's singular values are the union of the blocks'
+        keep = np.arange(vt.shape[1]) >= (svals > RANK_TOL * top).sum(1)[:, None]
+        part = np.zeros((keep.sum(), d * d))
+        part[np.arange(len(part))[:, None], where.repeat(keep.sum(1), axis=0)] = vt[keep]
+        null.append(part)
+    null = np.concatenate(null) + 0.0  # likewise no -0.0
+    mats = np.zeros((len(null), d, d), dtype=complex)
+    mats.real[:, rk, cl] = mats.real[:, cl, rk] = null[:, first]
+    mats.imag[:, l, k] = null[:, first[d:] + 1]
+    mats.imag[:, k, l] = 0.0 - mats.imag[:, l, k]
+    return HermitianSolutionSpace(group=group, local_dim=d, basis_matrices=mats,
+                                  factors=factors, pairs=(i, j))
 
 
 def is_locally_irreducible(basis, partition):

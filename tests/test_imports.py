@@ -1,4 +1,5 @@
-"""Each command loads only the gnpb modules it runs (checked in a fresh process)."""
+"""Each command loads only the gnpb modules it runs, and none loads ``numpy.ma``,
+whose first import alone takes tens of ms (checked in a fresh process)."""
 
 import json
 import subprocess
@@ -9,11 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs ``code`` with argv, then prints the gnpb modules that were loaded
+# runs ``code`` with argv, then prints the gnpb modules and numpy.ma if loaded
 PROBE = """
 import contextlib, io, json, sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m == "gnpb" or m.startswith("gnpb."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in ("gnpb", "numpy.ma") or m.startswith("gnpb."))))
 """
 CLI = """
 from gnpb.cli import main
@@ -43,10 +45,10 @@ def test_package_names_still_import():
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (("verify", "protocols/prop7.pdl"), {"gnpb.opm", "gnpb.protocols"}),
-    (("account", "protocols/remark2.pdl"), {"gnpb.opm", "gnpb.protocols"}),
-    (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl"}),
-    (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols"}),
+    (("verify", "protocols/prop7.pdl"), {"gnpb.opm", "gnpb.protocols", "numpy.ma"}),
+    (("account", "protocols/remark2.pdl"), {"gnpb.opm", "gnpb.protocols", "numpy.ma"}),
+    (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl", "numpy.ma"}),
+    (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
     (("check-basis", "shift_222"), {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):

@@ -3,15 +3,21 @@ brute-force oracle for the nullspace solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gnpb import opm
 from gnpb.bases import OrthoProductBasis, ProductState, get_basis
 from gnpb.opm import (
+    HermitianSolutionSpace,
     classify,
+    constrained_pairs,
     find_eliminating_opm,
     group_factorization,
     is_locally_irreducible,
     opm_solution_space,
 )
+from gnpb.qstate import RANK_TOL
 
 # ---------------------------------------------------------------------------
 # independent oracle: full-space embedding, all pairs, no overlap gating
@@ -108,8 +114,9 @@ def oracle_sweep_dim(basis, group, n_samples=60, seed=11):
 # ---------------------------------------------------------------------------
 # random orthogonal product sets in 2x2x2
 
-def _random_unitary2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def _haar_unitary(rng, d=2):
+    """A Haar-random d x d unitary."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -123,7 +130,7 @@ def random_product_basis_222(rng):
             states.append(ProductState(f"s{len(states)}", tuple(fixed)))
             return
         p = rng.integers(len(free))
-        u = _random_unitary2(rng)
+        u = _haar_unitary(rng)
         rest = free[:p] + free[p + 1:]
         for col in range(2):
             assign = list(fixed)
@@ -138,7 +145,7 @@ def random_orthogonal_product_set(rng):
     if rng.random() < 0.25:
         # the shift completion, twirled by local unitaries
         base = get_basis("shift_222")
-        us = [_random_unitary2(rng) for _ in range(3)]
+        us = [_haar_unitary(rng) for _ in range(3)]
         pool = [ProductState(st.label, tuple(u @ f for u, f in zip(us, st.factors)))
                 for st in base.states]
     else:
@@ -317,3 +324,174 @@ def test_group_factorization_orders_by_party():
     # a_i (x) r_i is the state with its axes reordered to A, C | B
     joint = basis.joint_matrix().reshape(-1, 3, 3, 3).transpose(0, 1, 3, 2)
     assert np.allclose(group[:, :, None] * rest[:, None, :], joint.reshape(-1, 9, 3))
+
+
+# ---------------------------------------------------------------------------
+# the block solver against one dense QR + SVD of the whole system
+
+def _dense_hermitian_basis(d):
+    """The solver's coordinates as matrices: the diagonal units, then per
+    k < l the symmetric element and the one with -i at (k, l)."""
+    mats = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    mats[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(k))
+    mats[sym, k, l] = mats[sym, l, k] = 1.0
+    mats[sym + 1, k, l] = -1.0j
+    mats[sym + 1, l, k] = 1.0j
+    return mats
+
+
+def dense_solution_space(basis, group):
+    """The whole constraint system in one QR + SVD: every pair against
+    every coordinate."""
+    group = tuple(group)
+    (i, j), factors = constrained_pairs(basis, group)
+    d = factors.shape[1]
+    h_flat = _dense_hermitian_basis(d).reshape(d * d, d * d)
+    if len(i):
+        kron = (factors[i].conj()[:, :, None] * factors[j][:, None, :]).reshape(len(i), d * d)
+        vals = kron @ h_flat.T
+        rows = np.stack([vals.real, vals.imag], axis=1).reshape(-1, d * d)
+        _, svals, vt = np.linalg.svd(np.linalg.qr(rows, mode="r"))
+        null_rows = vt[int(np.sum(svals > RANK_TOL * svals[0])):]
+    else:
+        null_rows = np.eye(d * d)
+    return HermitianSolutionSpace(group, d, (null_rows @ h_flat).reshape(-1, d, d),
+                                  factors, (i, j))
+
+
+def _coordinates(mats):
+    """Real coordinates of Hermitian matrices: the diagonal, then per k < l
+    the real part and minus the imaginary part of entry (k, l)."""
+    d = mats.shape[-1]
+    k, l = np.triu_indices(d, 1)
+    upper = mats[:, k, l]
+    off = np.stack([upper.real, -upper.imag], axis=2).reshape(len(mats), -1)
+    return np.concatenate([np.diagonal(mats, axis1=1, axis2=2).real, off], axis=1)
+
+
+def _sparse_unitary(rng, d):
+    """A level permutation, then a real or complex rotation of one random
+    pair of levels: zero patterns stay sparse, so systems keep many blocks."""
+    u = np.eye(d, dtype=complex)[rng.permutation(d)]
+    if d > 1:
+        a, b = rng.choice(d, 2, replace=False)
+        t = rng.uniform(0, 2 * np.pi)
+        c, s = np.cos(t), np.sin(t)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if rng.random() < 0.5 else 1.0
+        rot = np.eye(d, dtype=complex)
+        rot[[a, a, b, b], [a, b, a, b]] = c, -s * np.conj(phase), s * phase, c
+        u = rot @ u
+    return u
+
+
+def _rotated(basis, unitary, rng):
+    us = [unitary(rng, d) for _, d in basis.parties]
+    return OrthoProductBasis(basis.name, basis.parties, [
+        ProductState(st.label, tuple(u @ f for u, f in zip(us, st.factors)))
+        for st in basis.states])
+
+
+def _with_trivial_party(rng):
+    """A random 2 x 2 product basis plus a party of dim 1 at a random place;
+    that party alone has no constrained pair."""
+    u, v, w = (_haar_unitary(rng) if rng.random() < 0.5 else _sparse_unitary(rng, 2)
+               for _ in range(3))
+    pos = int(rng.integers(3))
+    states = []
+    for n, (a, b) in enumerate([(u[:, 0], v[:, 0]), (u[:, 0], v[:, 1]),
+                                (u[:, 1], w[:, 0]), (u[:, 1], w[:, 1])]):
+        factors = [a, b]
+        factors.insert(pos, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1)))
+        states.append(ProductState(f"s{n}", tuple(factors)))
+    parties = [("A", 2), ("B", 2)]
+    parties.insert(pos, ("C", 1))
+    return OrthoProductBasis("trivial_party", parties, states)
+
+
+def _check_against_dense(basis, group):
+    space, dense = opm_solution_space(basis, group), dense_solution_space(basis, group)
+    assert space.dim == dense.dim
+    got, want = _coordinates(space.basis_matrices), _coordinates(dense.basis_matrices)
+    # orthonormal in the coordinates (not in Hilbert-Schmidt: an
+    # off-diagonal coordinate unit has Hilbert-Schmidt norm sqrt 2)
+    assert np.max(np.abs(got @ got.T - np.eye(space.dim))) < 1e-9
+    assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-9
+    for m in space.basis_matrices:
+        assert np.array_equal(m, m.conj().T)
+        assert space.satisfies(m)
+    return space
+
+
+@pytest.mark.parametrize("unitary", [_sparse_unitary, _haar_unitary])
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_dense_solve_under_local_unitaries(name, unitary, seed):
+    basis = _rotated(get_basis(name), unitary, np.random.default_rng(seed))
+    single, merged, _ = CLASSIFIED[name]
+    # local unitaries keep every dimension
+    assert tuple(_check_against_dense(basis, (p,)).dim for p in "ABC") == single
+    assert tuple(_check_against_dense(basis, g).dim for g in MERGED) == merged
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_dense_solve_with_a_trivial_party(seed):
+    basis = _with_trivial_party(np.random.default_rng(seed))
+    for group in GROUPS_222:
+        _check_against_dense(basis, group)
+    assert len(constrained_pairs(basis, ("C",))[0][0]) == 0
+    assert opm_solution_space(basis, ("C",)).dim == 1
+
+
+def test_a_zero_factor_touches_no_entry():
+    e = np.eye(2)
+    basis = OrthoProductBasis("zero", [("A", 2), ("B", 2)], [
+        ProductState("a", (e[0], e[0])), ProductState("b", (e[1], e[0])),
+        ProductState("z", (np.zeros(2), e[0]))])
+    # the last constrained pair has a zero factor on A, so no edge
+    assert [space.dim for space in (_check_against_dense(basis, ("A",)),
+                                    _check_against_dense(basis, ("B",)))] == [2, 4]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_one_block_systems_keep_the_dense_bits(name, monkeypatch):
+    # generic amplitudes: every pair touches every entry, so one block
+    basis = _rotated(get_basis(name), _haar_unitary, np.random.default_rng(7))
+    for group in GROUPS_222:
+        assert np.array_equal(opm_solution_space(basis, group).basis_matrices,
+                              dense_solution_space(basis, group).basis_matrices)
+    blocks = classify(basis).to_dict()
+    monkeypatch.setattr(opm, "opm_solution_space", dense_solution_space)
+    assert blocks == classify(basis).to_dict()
+
+
+def _witness_cases():
+    for name in sorted(CLASSIFIED):
+        yield name, get_basis(name)
+        for seed in (1, 2):
+            yield name, _rotated(get_basis(name), _sparse_unitary, np.random.default_rng(seed))
+
+
+def test_witnesses_are_valid_eliminating_measurements():
+    for name, basis in _witness_cases():
+        witness = classify(basis).witness
+        assert (witness and witness.group) == CLASSIFIED[name][2]
+        if witness is None:
+            continue
+        space = opm_solution_space(basis, witness.group)
+        labels = list(basis.labels)
+        for e, eliminated, survivors in zip(witness.effects, witness.eliminated,
+                                            witness.survivors):
+            assert np.max(np.abs(e - e.conj().T)) < 1e-12
+            assert np.max(np.abs(e @ e - e)) < 1e-9
+            assert space.satisfies(e)
+            weight = dict(zip(labels, np.linalg.norm(space.factors @ e.T, axis=1)))
+            assert all(weight[lbl] < RANK_TOL for lbl in eliminated)
+            assert all(weight[lbl] >= RANK_TOL for lbl in survivors)
+            assert sorted(eliminated + survivors) == sorted(labels)
+        assert np.max(np.abs(sum(witness.effects) - np.eye(space.local_dim))) < 1e-9
+        assert any(witness.eliminated)
