@@ -146,20 +146,25 @@ class OrthoProductBasis:
         """Read a basis document; every factor comes back unit-normalized.
 
         Raises ValueError for a document that cannot hold a product basis:
-        a party dim below 1, a repeated party name, a non-string or
+        a party name that is not a string, a party dim that is not a JSON
+        integer or is below 1, a repeated party name, a non-string or
         repeated label, or a factor whose norm is zero or not finite (a
         NaN or Infinity amplitude, or one so large that the norm overflows).
         """
         import json
 
         doc = json.loads(text)
-        parties = [(p["name"], int(p["dim"])) for p in doc["parties"]]
+        parties = [(p["name"], p["dim"]) for p in doc["parties"]]
+        for p, d in parties:
+            if not isinstance(p, str):
+                raise ValueError(f"party name {p!r} is not a string")
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"party {p!r} has dim {d!r}, not an integer")
+            if d < 1:
+                raise ValueError(f"party {p!r} has dim {d}, below 1")
         names = [p for p, _ in parties]
         if len(set(names)) != len(names):
             raise ValueError(f"repeated party name in {names}")
-        for p, d in parties:
-            if d < 1:
-                raise ValueError(f"party {p!r} has dim {d}, below 1")
         states = []
         for entry in doc["states"]:
             label = entry["label"]

@@ -193,15 +193,11 @@ def _remainder(dim, others):
     return total
 
 
-def materialize(effect, siblings, space, acted):
-    """Dense matrix of an effect over the acted registers (in space order).
-
-    The dtype follows the kets: real for every ``P[...]`` effect.
-    """
+def materialize(effect, space, acted):
+    """Dense matrix of a ``P[...]`` effect over the acted registers, in the
+    order given (a remainder is built from its siblings' matrices by
+    :meth:`_Walk.node_matrices`).  Real: every ket is real."""
     dims = [space.subsystem(n).dim for n in acted]
-    if effect.is_rest:
-        return _remainder(prod(dims), (materialize(sib, (), space, acted)
-                                       for sib in siblings if not sib.is_rest))
     out = np.zeros((prod(dims), prod(dims)))
     for term in effect.terms:
         fmap = dict(term.factors)
@@ -398,16 +394,15 @@ def leaf_verify(states, ignore=(), tol=TOL):
     space = states[0][1].space
     stack = np.array([k.amplitudes for _, k in states])
     cols = np.flatnonzero((stack != 0).any(axis=0))
-    return _strategy([lbl for lbl, _ in states], stack[:, cols], cols, space, space, ignore, tol)
+    return _strategy([lbl for lbl, _ in states], stack[:, cols], cols, space, ignore, tol, {})
 
 
-def _strategy(labels, stack, cols, space, layout, ignore, tol, memo=None):
+def _strategy(labels, stack, cols, space, ignore, tol, memo):
     """:func:`leaf_verify` of the nonempty ``(n, C)`` ``stack`` whose
-    columns hold the flat indices ``cols`` of the registers of ``space``,
-    in the order of ``layout``; ``memo`` keeps the index tables and, per
-    ``(space, ignored registers)``, the party groups and their dims."""
+    columns hold the flat indices ``cols`` of ``space``; ``memo`` keeps the
+    index tables and, per ``(space, ignored registers)``, the party groups
+    and their dims."""
     drop = tuple(n for n in space.names if n in ignore)
-    memo = {} if memo is None else memo
     key = ("parties", space, drop)
     if key not in memo:
         owners = space.without(drop).owners()
@@ -415,7 +410,7 @@ def _strategy(labels, stack, cols, space, layout, ignore, tol, memo=None):
         memo[key] = owners, groups, [prod(space.subsystem(n).dim for n in g) for g in groups]
     owners, groups, dims = memo[key]
     # only the levels some state uses: the others add nothing to any overlap
-    tensor, _ = scatter(stack, group_index(layout, groups, memo)[:, cols], dims)
+    tensor, _ = scatter(stack, group_index(space, groups, memo)[:, cols], dims)
     factors = _product_factors(tensor)
     if factors is None:
         return None
@@ -542,21 +537,13 @@ def _broken_law(effects, mats, tol):
     return None
 
 
-@dataclass
-class _Resource:
-    kind: str
-    endpoints: tuple
-    labels: tuple
-
-
 class _Candidates(NamedTuple):
     """The basis states that reach a node, as one stack."""
 
     labels: tuple
     stack: np.ndarray    # (n, C): the states' amplitudes at the flat indices cols
     weights: np.ndarray  # (n,): probability of reaching the node, per state
-    layout: object       # the node's space, reordered as the flat indices run
-    cols: np.ndarray     # (C,): ascending flat indices where some state is nonzero
+    cols: np.ndarray     # (C,): distinct flat indices of the node's space, in any order
 
 
 class _Walk:
@@ -571,7 +558,7 @@ class _Walk:
         self.n_leaves = 0
         self.leaf_strategies = []
         # effect matrices and index tables built during this walk; repeated
-        # subtrees and layouts reuse them
+        # subtrees and spaces reuse them
         self.node_memo = {}
         self.tables = {}
 
@@ -586,13 +573,16 @@ class _Walk:
         key = (node.effects, acted, dims)
         if key not in self.node_memo:
             d = prod(dims)
-            fixed = {e: materialize(e, (), space, acted) for e in node.effects if not e.is_rest}
+            fixed = {e: materialize(e, space, acted) for e in node.effects if not e.is_rest}
             mats = np.array([_remainder(d, fixed.values()) if e.is_rest else fixed[e]
                              for e in node.effects]).reshape(len(node.effects), d, d)
             self.node_memo[key] = mats, _broken_law(node.effects, mats, self.tol)
         return self.node_memo[key]
 
     # -- node handlers ------------------------------------------------------
+    # ``resources`` lists the attached resources as ledger keys ``(kind,
+    # sorted endpoints, labels)``; ``acted_keys`` holds those that some
+    # measurement on the path restricts
 
     def run(self, node, space, cands, resources, acted_keys, path):
         if node is None:
@@ -626,9 +616,8 @@ class _Walk:
         nonzero = np.flatnonzero(amps)
         cols = (cands.cols[:, None] * len(amps) + nonzero).reshape(-1)
         stack = (cands.stack[:, :, None] * amps[nonzero]).reshape(len(cands.labels), len(cols))
-        self.run(node.child, space.extended(new_subs),
-                 cands._replace(stack=stack, layout=cands.layout.extended(new_subs), cols=cols),
-                 resources + [_Resource(node.kind, node.endpoints, node.labels)],
+        self.run(node.child, space.extended(new_subs), cands._replace(stack=stack, cols=cols),
+                 resources + [(node.kind, tuple(sorted(node.endpoints)), node.labels)],
                  acted_keys, path)
 
     def merge(self, node, space, cands, resources, acted_keys, path):
@@ -642,7 +631,7 @@ class _Walk:
         moved_dim = d_moved = prod(space.subsystem(n).dim for n in names)
         if cands.labels:
             groups = (names, tuple(n for n in space.names if n not in names))
-            index = group_index(cands.layout, groups, self.tables)[:, cands.cols]
+            index = group_index(space, groups, self.tables)[:, cands.cols]
             block, _ = scatter(cands.stack, index, (d_moved, space.dim // d_moved), whole=1)
             support = block.transpose(1, 0, 2).reshape(d_moved, -1)  # (d_moved, n R')
             moved_dim = int(np.linalg.matrix_rank(support, tol=RANK_TOL))
@@ -678,12 +667,10 @@ class _Walk:
         # which resources does this node touch non-trivially?  (a remainder
         # effect restricts exactly what its siblings restrict)
         restricted = node.restricted()
-        new_acted = frozenset(acted_keys).union(
-            (r.kind, tuple(sorted(r.endpoints)), r.labels)
-            for r in resources if any(lbl in restricted for lbl in r.labels))
+        new_acted = acted_keys.union(
+            r for r in resources if any(lbl in restricted for lbl in r[2]))
 
-        out = born(space, acted, mats, cands.stack, self.tol, cands.layout, cands.cols,
-                   self.tables)
+        out = born(space, acted, mats, cands.stack, cands.cols, self.tables, self.tol)
         for e, (effect, idx, (posts, cols)) in enumerate(zip(node.effects, out.survivors,
                                                              out.posts)):
             labels = tuple(cands.labels[c] for c in idx.tolist())
@@ -697,8 +684,7 @@ class _Walk:
                               f"survivors {labels[i]} and {labels[j]} "
                               f"overlap {worst:.3e}")
                     continue
-            survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx],
-                                    out.layout, cols)
+            survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx], cols)
             self.run(node.children.get(effect.name), space, survivors, resources,
                      new_acted, f"{path}/{effect.name}")
 
@@ -717,10 +703,8 @@ class _Walk:
         # charge consumed resources on this terminal branch
         reach = float(cands.weights.sum()) * self.prior
         for r in resources:
-            key = (r.kind, tuple(sorted(r.endpoints)), r.labels)
-            if key in acted_keys:
-                akey = (r.kind, tuple(sorted(r.endpoints)))
-                self.consumption[akey] = self.consumption.get(akey, 0.0) + reach
+            if r in acted_keys:
+                self.consumption[r[:2]] = self.consumption.get(r[:2], 0.0) + reach
         if isinstance(node, Identify):
             if labels != [node.label]:
                 self.fail(path, "identify",
@@ -734,14 +718,9 @@ class _Walk:
             self.fail(path, "leaf-set",
                       f"declared {sorted(node.labels)}, surviving {sorted(got)}")
             return
-        untouched = [
-            lbl
-            for r in resources
-            if (r.kind, tuple(sorted(r.endpoints)), r.labels) not in acted_keys
-            for lbl in r.labels
-        ]
-        strategy = (_strategy(labels, cands.stack, cands.cols, space, cands.layout, untouched,
-                              self.tol, self.tables)
+        untouched = [lbl for r in resources if r not in acted_keys for lbl in r[2]]
+        strategy = (_strategy(labels, cands.stack, cands.cols, space, untouched, self.tol,
+                              self.tables)
                     if labels else StrategyNode((), None, ()))
         if strategy is None:
             self.fail(path, "leaf-indistinguishable",
@@ -762,10 +741,9 @@ def verify_protocol(root, basis, name="protocol", tol=TOL):
     (thresholds: ``docs/report-schema.md``)."""
     walk = _Walk(basis, tol)
     space = basis.space()
-    stack = np.array([basis.state(lbl).joint() for lbl in basis.labels])
-    stack = stack.reshape(len(basis), space.dim)
+    stack = basis.joint_matrix().reshape(len(basis), space.dim)
     cols = np.flatnonzero((stack != 0).any(axis=0))
-    cands = _Candidates(basis.labels, stack[:, cols], np.ones(len(basis)), space, cols)
+    cands = _Candidates(basis.labels, stack[:, cols], np.ones(len(basis)), cols)
     try:
         walk.run(root, space, cands, [], frozenset(), "root")
     except (KeyError, ValueError) as exc:

@@ -42,7 +42,6 @@ class NamedProtocol:
     basis_name: str
     declared: tuple  # of (kind, endpoints, expected_uses)
     root: object
-    note: str = ""
 
     def basis(self):
         return get_basis(self.basis_name)
@@ -107,7 +106,6 @@ def prop5_protocol(target="B_II_33"):
         basis_name=target,
         declared=(("MERGE", ("A", "B"), 1.0), ("EPR", ("A", "C"), 1.0)),
         root=root,
-        note="teleportation in one arm plus one EPR; total log2(3)+1 ebits",
     )
 
 
@@ -275,7 +273,6 @@ def prop6_protocol():
         basis_name="B_II_33",
         declared=(("EPR", ("A", "B"), 1.0), ("EPR", ("A", "C"), 1.0)),
         root=root,
-        note="2.0 ebits, strictly below the 2*log2(3) teleportation baseline",
     )
 
 
@@ -369,7 +366,6 @@ def shift_upb_subprotocol(epr_endpoints=("B", "C")):
         basis_name="shift_222",
         declared=(("EPR", tuple(epr_endpoints), 1.0),),
         root=root,
-        note="one consumed EPR; the bare set admits no splitting strategy",
     )
 
 
@@ -467,7 +463,6 @@ def prop7_protocol():
             ("EPR", ("B", "C"), 8.0 / 27.0),
         ),
         root=root,
-        note="average 2 + 8/27 ~= 2.296 ebits",
     )
 
 
@@ -581,7 +576,6 @@ def prop8_protocol():
         basis_name="B_II_43",
         declared=(("GHZ", ("A", "B", "C"), 1.0), ("EPR", ("B", "C"), 1.0 / 8.0)),
         root=root,
-        note="1 GHZ plus 1/8 expected EPR; genuine tripartite resource",
     )
 
 
@@ -686,7 +680,6 @@ def remark2_protocol():
         basis_name="B_II_43",
         declared=(("EPR", ("A", "B"), 1.0), ("EPR", ("B", "C"), 11.0 / 16.0)),
         root=root,
-        note="1 EPR(A,B) + 11/16 expected EPR(B,C); compare against prop8",
     )
 
 
@@ -754,7 +747,6 @@ def basis_I_43_protocol():
         basis_name="B_I_43",
         declared=(("MERGE", ("B", "C"), 9.0 / 64.0), ("MERGE", ("A", "B"), 9.0 / 64.0)),
         root=root,
-        note="entanglement in at most one bipartite cut per branch (upper bound)",
     )
 
 

@@ -65,7 +65,7 @@ class CompositeSpace:
         return isinstance(other, CompositeSpace) and self.subsystems == other.subsystems
 
     def __hash__(self):
-        # a walk keys its index tables by layout, so each is hashed once
+        # a walk keys its index tables by space, so each is hashed once
         if self._hash is None:
             self._hash = hash(self.subsystems)
         return self._hash
@@ -198,25 +198,21 @@ class Born(NamedTuple):
     sums: np.ndarray    # (n,): total probability of each state over the effects
     survivors: tuple    # per effect: indices of the states with probability > tol
     posts: Iterator     # per effect, in turn: (values, cols) of the survivors' post-states
-    layout: CompositeSpace  # the register order the post-states' flat indices run in
 
 
-def group_index(layout, groups, memo=None):
+def group_index(space, groups, memo):
     """``(len(groups), D)`` table: row g holds, for every flat index of
-    ``layout``, the flat index over the registers ``groups[g]`` in the order
+    ``space``, the flat index over the registers ``groups[g]`` in the order
     given.  ``memo``, a dict the caller keeps, holds the tables built."""
-    key = (layout, groups)
-    if memo is not None and key in memo:
-        return memo[key]
-    coords = np.indices(layout.dims).reshape(len(layout.dims), layout.dim)
-    table = np.zeros((len(groups), layout.dim), np.intp)
-    for row, names in zip(table, groups):
-        for name in names:
-            row *= layout.subsystem(name).dim
-            row += coords[layout.axis(name)]
-    if memo is not None:
-        memo[key] = table
-    return table
+    key = (space, groups)
+    if key not in memo:
+        coords = np.indices(space.dims).reshape(len(space.dims), space.dim)
+        table = memo[key] = np.zeros((len(groups), space.dim), np.intp)
+        for row, names in zip(table, groups):
+            for name in names:
+                row *= space.subsystem(name).dim
+                row += coords[space.axis(name)]
+    return memo[key]
 
 
 def scatter(stack, index, dims, whole=0):
@@ -240,50 +236,46 @@ def scatter(stack, index, dims, whole=0):
     return tensor, levels
 
 
-def born(space, acted, matrices, stack, tol=TOL, layout=None, cols=None, memo=None):
+def born(space, acted, matrices, stack, cols, memo, tol):
     """Born rule for projective effects on the named registers ``acted``.
 
     ``matrices`` is a sequence of E effect matrices acting on ``acted`` in
-    the given order.  ``stack`` is an ``(n, C)`` array of states over the
-    registers of ``space`` in the order of ``layout`` (by default ``space``):
-    column j holds flat index ``cols[j]`` (ascending; ``None``: all D) and
-    every other amplitude is zero.  The states are scattered into an
-    ``(n, d, R')`` block over the R' rest indices they use, ascending, which
-    is space order.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
+    the given order.  ``stack`` is an ``(n, C)`` array of states over
+    ``space``: column j holds flat index ``cols[j]`` (the indices are
+    distinct, in any order) and every other amplitude is zero.  The states
+    are scattered into an ``(n, d, R')`` block over the R' rest indices they
+    use, ascending.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
     reduced state of the acted registers; only the (effect, state) pairs
     above ``tol`` are projected.  Each effect's post-states come when the
-    caller reaches them, as ``(values, cols)``: a ``(k, C')`` stack and its
-    ascending flat indices in ``Born.layout`` (``acted`` first, then the
-    other registers in ``space`` order), with all-zero columns dropped, and
-    empty when no state survives.  ``memo`` keeps the :func:`group_index`
-    tables.  The dtype follows the inputs: real effects on real states stay
-    real.
+    caller reaches them, as ``(values, cols)``: a ``(k, C')`` stack whose
+    columns run acted index first, then rest index, with all-zero columns
+    dropped, and their flat indices in ``space``.  ``memo`` keeps the
+    :func:`group_index` tables and their inverses.  The dtype follows the
+    inputs: real effects on real states stay real.
     """
     mats = np.asarray(matrices)
+    acted = tuple(acted)
     rest = tuple(s.name for s in space.subsystems if s.name not in acted)
-    out = CompositeSpace([space.subsystem(n) for n in acted]
-                         + [space.subsystem(n) for n in rest])
     d = mats.shape[1]
-    index = group_index(layout or space, (tuple(acted), rest), memo)
-    block, (_, kept) = scatter(stack, index if cols is None else index[:, cols],
-                               (d, space.dim // d), whole=1)
+    r = space.dim // d
+    index = group_index(space, (acted, rest), memo)
+    block, (_, kept) = scatter(stack, index[:, cols], (d, r), whole=1)
     rho = block @ block.conj().transpose(0, 2, 1)              # (n, d, d)
     probs = np.einsum("eij,cji->ec", mats, rho).real           # tr(M_e rho_c)
     survivors = tuple((row > tol).nonzero()[0] for row in probs)
-    flat = np.arange(d)[:, None] * (space.dim // d) + kept     # (d, R') flat indices
+    key = ("inverse", space, acted)
+    if key not in memo:  # (d, R): the flat index of each (acted, rest) index pair
+        memo[key] = (index[0] * r + index[1]).argsort().reshape(d, r)
+    flat = memo[key][:, kept]
 
     def posts():
-        empty = np.empty((0, 0), np.result_type(mats, block)), np.empty(0, np.intp)
         for m, row, idx in zip(mats, probs, survivors):
-            if not len(idx):
-                yield empty
-                continue
-            projected = m @ (block if len(idx) == len(block) else block[idx])  # (k, d, R')
+            projected = m @ block[idx]                         # (k, d, R')
             projected /= np.sqrt(row[idx])[:, None, None]
             nonzero = projected.any(axis=0)
             yield projected[:, nonzero], flat[nonzero]
 
-    return Born(probs, probs.sum(axis=0), survivors, posts(), out)
+    return Born(probs, probs.sum(axis=0), survivors, posts())
 
 
 def schmidt_ebits(state, cut):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gnpb.bases import basis_IIb_33
+from gnpb.bases import basis_IIb_33, shift_upb_opb_222
 from gnpb.cli import main
 
 
@@ -141,6 +141,18 @@ HUGE_AMPLITUDES = _basis_doc([[1e308, 0], [1e308, 0]], [[1, 0], [0, 0]], [[1, 0]
 INT_LABEL = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]).replace('"s"', "3")
 REPEATED_PARTY = _basis_doc([[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]).replace(
     '"B"', '"A"')
+
+
+def _shift_party_a(field, value):
+    """The complete 2x2x2 shift basis, with ``field`` of party A replaced."""
+    doc = json.loads(shift_upb_opb_222().to_json())
+    doc["parties"][0][field] = value
+    return json.dumps(doc)
+
+
+DIM_FLOAT, DIM_BOOL, DIM_STRING, NAME_NULL = (
+    _shift_party_a("dim", 2.9), _shift_party_a("dim", True), _shift_party_a("dim", "2"),
+    _shift_party_a("name", None))
 DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim": 2},
                                    {"name": "C", "dim": 2}],
                        "states": [{"label": "s", "factors": [[], [[1, 0], [0, 0]],
@@ -168,6 +180,10 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
     pytest.param(("classify", "FILE"), REPEATED_PARTY, id="classify-repeated-party"),
     pytest.param(("check-basis", "FILE"), DIM_ZERO, id="check-basis-dim-zero"),
     pytest.param(("tiles", "FILE", "--cut", "AB|C"), DIM_ZERO, id="tiles-dim-zero"),
+    pytest.param(("classify", "FILE"), DIM_FLOAT, id="classify-dim-float"),
+    pytest.param(("check-basis", "FILE"), DIM_BOOL, id="check-basis-dim-bool"),
+    pytest.param(("tiles", "FILE", "--cut", "AB|C"), DIM_STRING, id="tiles-dim-string"),
+    pytest.param(("classify", "FILE"), NAME_NULL, id="classify-name-null"),
     pytest.param(("--tol", "nan", "verify", "prop5_II33"), None, id="tol-nan"),
     pytest.param(("--tol", "-1", "verify", "prop5_II33"), None, id="tol-negative"),
     pytest.param(("--tol", "inf", "verify", "prop5_II33"), None, id="tol-inf"),

@@ -325,16 +325,36 @@ def test_resource_cuts_per_path():
 
 
 def test_materialize_rest_is_complement():
-    from gnpb.qstate import CompositeSpace, Subsystem
-    space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("c", 2, "C")])
+    """A walk builds a remainder's matrix from its siblings' matrices."""
+    from gnpb.engine import _Walk
+    from gnpb.qstate import TOL, CompositeSpace, Subsystem
+    space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("c", 2, "A")])
     e1 = eff("N", P(A=[0, 1], c=0), P(A=2, c=1))
     e2 = rest("Nb")
-    acted = ("A", "c")
-    m1 = materialize(e1, (e1, e2), space, acted)
-    m2 = materialize(e2, (e1, e2), space, acted)
+    node = measure("A", (e1, e2), {"N": Fail(), "Nb": Fail()})
+    walk = _Walk(_single_state_basis(), TOL)
+    (m1, m2), broken = walk.node_matrices(node, space, node.acted())
+    assert node.acted() == ("A", "c") and broken is None
+    assert np.array_equal(m1, materialize(e1, space, ("A", "c")))
     assert np.allclose(m1 + m2, np.eye(6))
     assert np.allclose(m1 @ m1, m1)
     assert np.allclose(m2 @ m2, m2)
+
+
+def test_measurement_of_only_a_remainder_acts_on_no_register():
+    """``R = rest`` alone restricts nothing: it acts on no register (d = 1),
+    as the identity, so every state reaches its fail leaf."""
+    from gnpb import pdl
+
+    doc = pdl.parse("parties { A:3 B:3 C:3 }\nbasis B_II_33\n"
+                    "measure by A {\n  R = rest\n} outcomes {\n  R -> fail\n}\n")
+    basis = get_basis("B_II_33")
+    report = verify_protocol(doc.root, basis, "rest-only")
+    assert (report.n_measurements, report.n_leaves) == (1, 1)
+    assert report.failures[0] == {"node": "root/R", "kind": "fail-leaf",
+                                  "detail": f"states reach a fail leaf: {list(basis.labels)}"}
+    assert [(f["node"], f["kind"]) for f in report.failures[1:]] == (
+        [("total", "identification")] * len(basis))
 
 
 def test_leaf_verify_strip_preserves_complex_phases():

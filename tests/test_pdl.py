@@ -66,7 +66,7 @@ def test_parse_block_tag_effect():
     effect = node.effects[0]
     space = CompositeSpace([Subsystem("A", 3, "A"), Subsystem("C", 3, "C"),
                             Subsystem("a", 2, "A"), Subsystem("c", 2, "C")])
-    mat = materialize(effect, node.effects, space, ("C", "c"))
+    mat = materialize(effect, space, ("C", "c"))
     expected = np.zeros((6, 6))
     for level, tag in ((0, 0), (1, 0), (2, 1)):
         idx = level * 2 + tag

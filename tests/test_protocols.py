@@ -15,17 +15,16 @@ from gnpb.engine import (
     verify_protocol,
 )
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
-from gnpb.qstate import born
+from gnpb.qstate import TOL, born
 
 
 def _born1(space, acted, matrix, vec):
     """One effect on one state: (probability, normalized post-state)."""
-    out = born(space, acted, [matrix], vec[None])
+    out = born(space, acted, [matrix], vec[None], np.arange(space.dim), {}, TOL)
     values, cols = next(out.posts)
     post = np.zeros(space.dim, values.dtype)
-    post[cols] = values[0]
-    # post-states come acted registers first (out.layout); back to space order
-    return float(out.probs[0, 0]), out.layout.split_axes(space.names, post)[:, 0]
+    post[cols] = values[0]  # the flat indices of space that born returns
+    return float(out.probs[0, 0]), post
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))
@@ -166,7 +165,7 @@ def test_prop8_step1_produces_tag_entangled_pair():
     )
     joint = np.kron(basis.state("2xp_3").joint(), resource_amplitudes("GHZ"))
     m_eff = m_node.effects[0]
-    mat = materialize(m_eff, m_node.effects, space, m_node.acted())
+    mat = materialize(m_eff, space, m_node.acted())
     p, post = _born1(space, m_node.acted(), mat, joint)
     assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -201,7 +200,7 @@ def test_prop6_step1_post_state_row3():
     state = joint
     for node in (m_node, n_node):
         e = node.effects[0]
-        mat = materialize(e, node.effects, space, node.acted())
+        mat = materialize(e, space, node.acted())
         p, state = _born1(space, node.acted(), mat, state)
         assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -250,7 +249,7 @@ def test_prop7_k3_survivors_form_shift_set():
         state = joint
         for node, out in ((m_node, "M"), (n_node, "N"), (k_node, "K3")):
             e = next(x for x in node.effects if x.name == out)
-            mat = materialize(e, node.effects, space, node.acted())
+            mat = materialize(e, space, node.acted())
             p, state = _born1(space, node.acted(), mat, state)
             assert p > 0.1
         # principal part: project tags onto their fixed values and compare
