@@ -263,8 +263,8 @@ def test_born_stack_matches_one_projection_per_row(case):
         posts[:, post_cols] = values
         assert np.allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
         for c, post in zip(idx, posts):
-            want = space.unsplit_axes(acted, projected[c]) / np.sqrt(expected[c])
-            assert np.allclose(post, want, rtol=0, atol=1e-12)
+            want = projected[c] / np.sqrt(expected[c])
+            assert np.allclose(space.split_axes(acted, post), want, rtol=0, atol=1e-12)
 
 
 def test_split_axes_keeps_leading_stack_axis():
