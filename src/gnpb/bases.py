@@ -20,6 +20,7 @@ from .qstate import (
     Ket,
     KetExpr,
     Subsystem,
+    kron_rows,
     pairwise_max_overlap,
 )
 
@@ -119,8 +120,14 @@ class OrthoProductBasis:
     def joint_ket(self, label):
         return Ket(self.space(), self.state(label).joint())
 
+    def factor_arrays(self):
+        """Per party, in party order, the ``(n_states, d)`` array of its factors."""
+        n = len(self.states)
+        return [np.array([st.factors[p] for st in self.states]).reshape(n, d)
+                for p, (_, d) in enumerate(self.parties)]
+
     def joint_matrix(self):
-        return np.array([st.joint() for st in self.states])
+        return kron_rows(self.factor_arrays())
 
     # -- JSON interchange ---------------------------------------------------
 
@@ -508,18 +515,13 @@ def render_tiles(basis, merged):
     n_rows = prod(dims[m] for m in merged)
     n_cols = dims[col_party]
 
-    def supports(state):
-        fs = dict(zip(party_names, state.factors))
-        rvec = fs[merged[0]]
-        for m in merged[1:]:
-            rvec = np.kron(rvec, fs[m])
-        rows = tuple(int(i) for i in np.flatnonzero(np.abs(rvec) > TOL))
-        cols = tuple(int(i) for i in np.flatnonzero(np.abs(fs[col_party]) > TOL))
-        return rows, cols
-
+    arrays = dict(zip(party_names, basis.factor_arrays()))
+    row_support = np.abs(kron_rows([arrays[m] for m in merged])) > TOL
+    col_support = np.abs(arrays[col_party]) > TOL
     grouped: dict[tuple, list[str]] = {}
-    for st in basis.states:
-        grouped.setdefault(supports(st), []).append(st.label)
+    for st, rows, cols in zip(basis.states, row_support, col_support):
+        key = tuple(rows.nonzero()[0].tolist()), tuple(cols.nonzero()[0].tolist())
+        grouped.setdefault(key, []).append(st.label)
 
     groups = []
     for (rows, cols), labels in sorted(grouped.items()):

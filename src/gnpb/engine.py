@@ -605,8 +605,8 @@ class _Walk:
             if p not in owners:
                 self.fail(path, "attach-endpoint", f"party {p!r} does not exist here")
                 return
-        for lbl in node.labels:
-            if lbl in space.names:
+        for n, lbl in enumerate(node.labels):
+            if lbl in space.names or lbl in node.labels[:n]:
                 self.fail(path, "attach-label", f"register {lbl!r} already exists")
                 return
         dims, _ = RESOURCE_KINDS[node.kind]
@@ -679,7 +679,8 @@ class _Walk:
                 gram.flat[::len(idx) + 1] = 0.0
                 worst = float(gram.max())
                 if not worst <= 10 * self.tol:
-                    i, j = np.unravel_index(gram.argmax(), gram.shape)
+                    # name the first pair, in candidate order, that breaks the bound
+                    i, j = np.argwhere(~(gram <= 10 * self.tol))[0]
                     self.fail(f"{path}/{effect.name}", "orthogonality",
                               f"survivors {labels[i]} and {labels[j]} "
                               f"overlap {worst:.3e}")

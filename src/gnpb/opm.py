@@ -16,16 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import RANK_TOL, TOL
+from .qstate import RANK_TOL, TOL, kron_rows
 
 
 def _party_index(basis):
     return {p: i for i, (p, _) in enumerate(basis.parties)}
-
-
-def _kron_rows(x, y):
-    """Row-wise Kronecker product of an (n, a) and an (n, b) array."""
-    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
 
 
 def group_factorization(basis, group):
@@ -40,15 +35,10 @@ def group_factorization(basis, group):
         if p not in idx:
             raise KeyError(f"unknown party {p!r}")
     group_pos = {idx[p] for p in group}
-    n = len(basis.states)
-    group_factors = rest_factors = np.ones((n, 1), dtype=complex)
-    for i, (_, d) in enumerate(basis.parties):
-        f = np.array([st.factors[i] for st in basis.states], dtype=complex).reshape(n, d)
-        if i in group_pos:
-            group_factors = _kron_rows(group_factors, f)
-        else:
-            rest_factors = _kron_rows(rest_factors, f)
-    return group_factors, rest_factors
+    arrays = list(enumerate(basis.factor_arrays()))
+    sides = ([f for i, f in arrays if i in group_pos],
+             [f for i, f in arrays if i not in group_pos])
+    return tuple(kron_rows(fs) if fs else np.ones((len(basis.states), 1)) for fs in sides)
 
 
 def constrained_pairs(basis, group):
@@ -79,9 +69,11 @@ class HermitianSolutionSpace:
         return self.dim > 1
 
     def satisfies(self, matrix):
-        """Check the OPM constraints directly for one Hermitian matrix."""
+        """Check the OPM constraints directly for one Hermitian matrix, or
+        for all of a ``(k, d, d)`` stack at once."""
         i, j = self.pairs
-        vals = np.einsum("pk,kl,pl->p", self.factors[i].conj(), matrix, self.factors[j])
+        # <a_s|E|a_t> of all states, then the pairs': no (pairs, d) temporaries
+        vals = (self.factors.conj() @ matrix @ self.factors.T)[..., i, j]
         return bool(np.all(np.abs(vals) < RANK_TOL))
 
 
@@ -103,9 +95,12 @@ def opm_solution_space(basis, group):
     first = np.concatenate([r, np.arange(d, d * d, 2)])  # a node's first coordinate
     width = 1 + (first >= d)
     # edges (pair, node) on the exact zero pattern: <a_i|E|a_j> has the
-    # terms conj(a_i[k]) a_j[l] E[k, l] + conj(a_i[l]) a_j[k] E[l, k]
-    ni, nj = factors[i] != 0, factors[j] != 0
-    ep, en = np.divmod((ni[:, rk] & nj[:, cl] | ni[:, cl] & nj[:, rk]).ravel().nonzero()[0], len(rk))
+    # terms conj(a_i[k]) a_j[l] E[k, l] + conj(a_i[l]) a_j[k] E[l, k]; per
+    # state, the nodes its k and its l levels reach, packed to bits
+    nz = factors != 0
+    a, b = np.packbits(nz[:, rk], axis=1), np.packbits(nz[:, cl], axis=1)
+    touched = np.unpackbits(a[i] & b[j] | b[i] & a[j], axis=1, count=len(rk)).view(bool)
+    ep, en = np.divmod(touched.ravel().nonzero()[0], len(rk))
     # label propagation: every node and pair ends with its block's smallest node
     label = np.arange(len(rk))
     while True:
@@ -132,25 +127,30 @@ def opm_solution_space(basis, group):
     # with re and im interleaved: the nullspace basis the SVD returns, and
     # so the witness found, depends on this order
     perm = comp.repeat(width).argsort(kind="stable")
-    col0, row0 = cols.cumsum() - cols, 2 * (npairs.cumsum() - npairs)
+    col0, size = cols.cumsum() - cols, 2 * npairs * cols
     local = (np.arange(d * d) - col0.repeat(cols))[perm.argsort()]
-    row = 2 * pcomp.argsort(kind="stable").argsort()
-    buf = np.zeros((2 * len(pcomp), cols[npairs > 0].max(initial=0)))
-    flat, w = buf.reshape(-1), buf.shape[1]
+    # a block's rows, re then im of each pair, lie one after another in flat,
+    # so the blocks of one shape form one contiguous stack
+    start = size.cumsum() - size
+    pos = np.empty(len(pcomp), int)  # a pair's place when pairs are sorted by block
+    pos[pcomp.argsort(kind="stable")] = np.arange(len(pcomp))
+    w = cols[pcomp]  # the width of a pair's rows
+    row = start[pcomp] + 2 * w * (pos - (npairs.cumsum() - npairs)[pcomp])
+    flat = np.zeros(size.sum())
     f, fi, fj, off = factors.ravel(), i[ep] * d, j[ep] * d, en >= d
     x = f[fi + rk[en]].conj() * f[fj + cl[en]]
     y = f[fi + cl[en]].conj() * f[fj + rk[en]] * off  # 0 on the diagonal, where y = x
-    at, s = row[ep] * w + local[first[en]], x + y
+    at, s, w = row[ep] + local[first[en]], x + y, w[ep]
     flat[at], flat[at + w] = s.real, s.imag  # diagonal: x; sym: x + y
-    at, x, y = at[off] + 1, x[off], y[off]
+    at, x, y, w = at[off] + 1, x[off], y[off], w[off]
     flat[at], flat[at + w] = x.imag - y.imag, y.real - x.real  # anti: i (y - x)
-    buf += 0.0  # no -0.0: one block is then the dense system's rows bit for bit
+    flat += 0.0  # no -0.0: one block is then the dense system's rows bit for bit
     solved, top = [], 0.0
     bounds = [0] + ((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist() + [len(shape)]
     for b0, b1 in zip(bounds, bounds[1:]):
         n, c, rows = b1 - b0, cols[b0], 2 * npairs[b0]
         if rows:
-            stack = buf[row0[b0]:row0[b0] + n * rows, :c].reshape(n, rows, c)
+            stack = flat[start[b0]:start[b0] + n * rows * c].reshape(n, rows, c)
             # R keeps the rows' singular values and row space, not rows x rows
             svals, vt = np.linalg.svd(np.linalg.qr(stack, mode="r"))[1:]
             top = max(top, svals[:, 0].max())
@@ -158,7 +158,10 @@ def opm_solution_space(basis, group):
     null = [np.eye(d * d, dtype=bool)[perm[:cols[npairs == 0].sum()]]]  # free nodes
     for svals, vt, where in solved:
         # the whole system's singular values are the union of the blocks'
-        keep = np.arange(vt.shape[1]) >= (svals > RANK_TOL * top).sum(1)[:, None]
+        rank = (svals > RANK_TOL * top).sum(1)
+        if rank.min() == vt.shape[1]:
+            continue  # no block of this shape has a nullspace
+        keep = np.arange(vt.shape[1]) >= rank[:, None]
         part = np.zeros((keep.sum(), d * d))
         part[np.arange(len(part))[:, None], where.repeat(keep.sum(1), axis=0)] = vt[keep]
         null.append(part)
@@ -260,22 +263,19 @@ def find_eliminating_opm(basis, group):
         if len(projectors) < 2:
             continue
         for effects in _groupings(projectors):
-            if not all(space.satisfies(e) for e in effects):
+            effects = np.array(effects)
+            if not space.satisfies(effects):
                 continue
-            total = sum(effects)
-            if np.max(np.abs(total - np.eye(d))) > RANK_TOL:
+            if np.max(np.abs(effects.sum(0) - np.eye(d))) > RANK_TOL:
                 continue
-            eliminated, survivors = [], []
-            for e in effects:
-                killed = np.linalg.norm(space.factors @ e.T, axis=1) < RANK_TOL
-                eliminated.append(tuple(labels[killed]))
-                survivors.append(tuple(labels[~killed]))
-            if any(eliminated):
+            # (E, n): the states each effect annihilates
+            killed = np.linalg.norm(space.factors @ effects.transpose(0, 2, 1), axis=2) < RANK_TOL
+            if killed.any():
                 return EliminatingOpm(
                     group=tuple(group),
                     effects=tuple(effects),
-                    eliminated=tuple(eliminated),
-                    survivors=tuple(survivors),
+                    eliminated=tuple(tuple(labels[k]) for k in killed),
+                    survivors=tuple(tuple(labels[~k]) for k in killed),
                 )
     return None
 

@@ -297,6 +297,15 @@ def schmidt_ebits(state, cut):
     return float(-np.sum(probs * np.log2(probs)))
 
 
+def kron_rows(arrays):
+    """Row-wise Kronecker product of ``(n, d_p)`` arrays, first most
+    significant: row i holds the same products as ``np.kron`` of the rows i."""
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = (out[:, :, None] * a[:, None, :]).reshape(len(out), out.shape[1] * a.shape[1])
+    return out
+
+
 def pairwise_max_overlap(vectors):
     """Largest |<v_i|v_j>| over i != j for unit-normalized rows."""
     if len(vectors) < 2:

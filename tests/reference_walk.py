@@ -55,7 +55,7 @@ class ReferenceWalk:
         elif isinstance(node, AttachResource):
             if any(p not in owners for p in node.endpoints):
                 return fail((path, "attach-endpoint"))
-            if any(lbl in space.names for lbl in node.labels):
+            if set(node.labels) & set(space.names) or len(set(node.labels)) < len(node.labels):
                 return fail((path, "attach-label"))
             subs = [Subsystem(lbl, d, p) for lbl, d, p in
                     zip(node.labels, RESOURCE_KINDS[node.kind][0], node.endpoints)]

@@ -26,6 +26,8 @@ from gnpb.bases import (
 )
 from gnpb.qstate import schmidt_ebits
 
+from .test_golden_classify import rotated
+
 ALL_BASES = ["bennett_3x3", "B_I_43", "B_II_43", "B_II_33", "B_IIb_33", "shift_222"]
 EXPECTED_COUNTS = {"bennett_3x3": 9, "B_I_43": 64, "B_II_43": 64,
                    "B_II_33": 27, "B_IIb_33": 27, "shift_222": 8}
@@ -162,6 +164,40 @@ def test_json_round_trip():
     assert b2.parties == b.parties
     assert np.allclose(b2.joint_matrix(), b.joint_matrix())
     assert check_basis(b2).complete
+
+
+def _kron_per_state(basis):
+    """The joint amplitudes as ``joint_matrix`` built them before: one
+    ``np.kron`` chain per state."""
+    return np.array([st.joint() for st in basis.states])
+
+
+@pytest.mark.parametrize("name", ALL_BASES)
+def test_joint_matrix_is_the_per_state_kron_byte_for_byte(name):
+    b = get_basis(name)
+    for basis in (b, OrthoProductBasis.from_json(b.to_json()), rotated(name, 3), rotated(name, 11)):
+        got, want = basis.joint_matrix(), _kron_per_state(basis)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_joint_matrix_mixing_real_and_complex_factors_keeps_the_values():
+    # a real state times a complex one gives the same values, but the row-wise
+    # product may flip the sign of a zero imaginary part
+    phase = np.exp(0.7j)
+    basis = OrthoProductBasis("mixed", [("A", 2), ("B", 3)], [
+        ProductState("a", (eta(-1, 2), xi(-1))),
+        ProductState("b", (phase * comp(0, 2), -eta(1))),
+        ProductState("c", (-comp(1, 2), xi(1) * 1j))])
+    got, want = basis.joint_matrix(), _kron_per_state(basis)
+    assert got.dtype == want.dtype == complex
+    assert np.array_equal(got, want)
+
+
+def test_empty_basis_has_an_empty_joint_matrix():
+    basis = OrthoProductBasis("empty", [("A", 2), ("B", 3)], [])
+    assert basis.joint_matrix().shape == (0, 6)
+    assert check_basis(basis).completeness_rank == 0
 
 
 @pytest.mark.parametrize("kind,cut_ebits", [

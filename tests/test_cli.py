@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, JSON stability, file inputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gnpb.bases import basis_IIb_33, shift_upb_opb_222
 from gnpb.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -39,6 +42,16 @@ def test_parse_error_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 1
     assert "parse error" in err
+
+
+def test_repeated_resource_labels_fail_as_attach_label(tmp_path, capsys):
+    text = (ROOT / "protocols" / "prop5_II33.pdl").read_text()
+    path = tmp_path / "twice.pdl"
+    path.write_text(text.replace("basis B_II_33\n", "basis B_II_33\nresource EPR(A,B) as x x\n"))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "failure at root: attach-label: register 'x' already exists" in out
+    assert "execution-error" not in out
 
 
 def test_classify_text_output(capsys):

@@ -267,6 +267,17 @@ def test_merge_cost_must_match_support():
     assert not report.ok and any(f["kind"] == "merge-cost" for f in report.failures)
 
 
+def test_repeated_attach_labels_fail_at_the_attach_node():
+    basis = _single_state_basis()
+    root = measure("A", (eff("all", P(A=[0, 1])),),
+                   {"all": AttachResource("EPR", ("A", "B"), ("x", "x"), Identify("only"))})
+    report = verify_protocol(root, basis, "twice")
+    assert report.n_measurements == 1
+    assert report.failures[0] == {"node": "root/all", "kind": "attach-label",
+                                  "detail": "register 'x' already exists"}
+    assert all(f["kind"] != "execution-error" for f in report.failures)
+
+
 def test_accounting_requires_verification():
     basis = _single_state_basis()
     root = measure("A", (eff("half", P(A=0)),), {"half": Identify("only")})

@@ -131,9 +131,10 @@ def _rotated(basis, angle, seed=7):
 # full turn (angle 1) fails at the first orthogonality checks, a slight one
 # (angle 1e-3) under ``tol`` 1e-3 reaches the leaves and the ledger.  An
 # orthogonality failure is pinned by its node and overlap, not by the pair it
-# names: on the full turn several pairs overlap 1 to within rounding, and
-# which one wins depends on the last bits of a BLAS Gram sum, which change
-# with the number of zero columns the sum runs over.
+# names: these digests date from when the pair was the Gram argmax, which on
+# the full turn (several pairs overlap 1 to within rounding) depended on the
+# last bits of a BLAS Gram sum.  The walk now names the first pair, in
+# candidate order, that breaks the bound.
 DENSE_SUPPORT_DIGESTS = {
     ("prop6", 1.0, 1e-9): "f1db3c8cc853d22c",
     ("prop6", 1e-3, 1e-3): "5b4f4c0a2d29db27",

@@ -50,6 +50,10 @@ def test_package_names_still_import():
     (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl", "numpy.ma"}),
     (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
     (("check-basis", "shift_222"), {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols"}),
+    (("tiles", "B_II_33", "--cut", "AB|C"),
+     {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
+    (("--json", "classify", "shift_222"),
+     {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
     modules = loaded(CLI, *argv)

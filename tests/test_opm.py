@@ -194,6 +194,37 @@ CLASSIFIED = {
 MERGED = (("A", "B"), ("A", "C"), ("B", "C"))
 
 
+def _satisfies_by_einsum(space, matrix):
+    """``HermitianSolutionSpace.satisfies`` as a three-operand einsum."""
+    i, j = space.pairs
+    vals = np.einsum("pk,kl,pl->p", space.factors[i].conj(), matrix, space.factors[j])
+    return bool(np.all(np.abs(vals) < RANK_TOL))
+
+
+SPACES = [opm_solution_space(get_basis(name), g)
+          for name in sorted(CLASSIFIED) for g in GROUPS_222]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(which=st.integers(0, len(SPACES) - 1), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["solution", "random", "perturbed"]))
+def test_satisfies_agrees_with_the_einsum_form(which, seed, kind):
+    space, rng = SPACES[which], np.random.default_rng(seed)
+    d = space.local_dim
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    noise = g + g.conj().T
+    mats = space.basis_matrices
+    if kind == "random":
+        mats = noise[None]
+    elif kind == "perturbed":
+        mats = mats + 1e-3 * noise
+    each = [_satisfies_by_einsum(space, m) for m in mats]
+    assert [space.satisfies(m) for m in mats] == each
+    assert space.satisfies(mats) == all(each)  # a stack at once
+    if kind == "solution":
+        assert all(each)
+
+
 def test_identity_always_a_solution():
     for name in CLASSIFIED:
         basis = get_basis(name)
