@@ -6,14 +6,15 @@ protocols and of the three runs that must fail, ``verify`` of five of
 them under a tight and a loose ``--tol`` (at 1e-15 ``prop8`` fails its
 identification totals), and ``verify`` (text and ``--json``) and
 ``account`` of the ten ``protocols/*.pdl`` files, keyed by their path
-relative to the repository root.  A change to the walk's arithmetic must
+relative to the repository root, and ``list``.  A change to the walk's arithmetic must
 leave every byte alone.  After a deliberate change to a report, regenerate
 the file with ``PYTHONPATH=src python tests/test_golden_cli.py`` and review
 the diff.
 
-Three more guards pin what no report prints: a digest of every leaf
+Four more guards pin what no report prints: a digest of every leaf
 strategy the thirteen golden ``verify`` runs find, the ``parse error``
-line of a few broken ``.pdl`` documents, and digests of the reports and
+line of a few broken ``.pdl`` documents, the ``error`` line of a few
+argparse usage errors, and digests of the reports and
 strategies of two protocols on rotated bases, whose states have no zero
 amplitude.
 """
@@ -56,7 +57,7 @@ ARGVS = [
     argv + [fixture]
     for fixture in FIXTURES
     for argv in (["verify"], ["--json", "verify"], ["account"])
-]
+] + [["list"]]
 
 
 def run(argv):
@@ -190,6 +191,26 @@ def test_parse_error_line_is_pinned(tmp_path, capsys, case):
     path = tmp_path / "broken.pdl"
     path.write_text(make())
     code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", want)
+
+
+# the stderr line of an argparse usage error (exit code 1)
+USAGE_ERRORS = {
+    "bad-tol": (["--tol", "2", "verify", "prop7"],
+                "error: argument --tol: tolerance must lie in (0, 1), got 2\n"),
+    "unknown-command": (["frobnicate"],
+                        "error: argument command: invalid choice: 'frobnicate' (choose from "
+                        "'check-basis', 'classify', 'verify', 'account', 'tiles', 'list')\n"),
+    "verify-no-protocol": (["verify"],
+                           "error: the following arguments are required: protocol\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_line_is_pinned(capsys, case):
+    argv, want = USAGE_ERRORS[case]
+    code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", want)
 
