@@ -19,8 +19,7 @@ _EXPORTS = {
               "get_basis", "render_tiles", "shift_upb_opb_222"),
     "engine": ("ProtocolVerificationError", "ResourceLedger", "complete_by_symmetry",
                "leaf_verify", "resource_accounting", "verify_protocol"),
-    "opm": ("GnpbClassification", "classify", "find_eliminating_opm",
-            "is_locally_irreducible", "opm_solution_space"),
+    "opm": ("GnpbClassification", "classify", "find_eliminating_opm", "opm_solution_space"),
     "protocols": ("BUILTIN_PROTOCOLS", "NamedProtocol", "basis_I_43_protocol", "get_protocol",
                   "prop5_protocol", "prop6_protocol", "prop7_protocol", "prop8_protocol",
                   "remark2_protocol", "shift_upb_subprotocol"),

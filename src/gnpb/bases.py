@@ -9,20 +9,12 @@ recomputes it from the amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, prod
+from math import prod
 
 import numpy as np
 
-from .qstate import (
-    RANK_TOL,
-    TOL,
-    CompositeSpace,
-    Ket,
-    KetExpr,
-    Subsystem,
-    kron_rows,
-    pairwise_max_overlap,
-)
+from .qstate import RANK_TOL, CompositeSpace, Ket, Subsystem, kron_rows, pairwise_max_overlap
+from .tree import RESOURCE_KINDS, TOL, KetExpr
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +392,6 @@ def get_basis(name):
 
 # ---------------------------------------------------------------------------
 # resource states
-
-#: kind -> (local dims, ebits across any single-party cut)
-RESOURCE_KINDS = {
-    "EPR": ((2, 2), 1.0),
-    "EPR3": ((3, 3), log2(3)),
-    "GHZ": ((2, 2, 2), 1.0),
-    "W": ((2, 2, 2), log2(3) - 2.0 / 3.0),
-}
-
 
 def resource_amplitudes(kind):
     if kind == "EPR":

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
 All numeric report fields print with 12 significant digits so golden files
-stay reproducible.  Each command imports only the modules it runs: ``opm``
-for ``classify``, ``protocols`` for built-in protocols and ``list``, ``pdl``
-for ``.pdl`` files and ``engine`` for ``verify`` and ``account``.
+stay reproducible.  Each command imports only the modules it runs: ``bases``
+for a basis, ``opm`` for ``classify``, ``protocols`` for built-in protocols,
+``pdl`` for ``.pdl`` files and ``engine`` for ``verify`` and ``account``.
+``list``, ``--help``, usage errors and ``.pdl`` parse errors read only the
+numpy-free ``tree`` module, so they never load numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bases import BUILTIN_BASES, OrthoProductBasis, check_basis, get_basis, render_tiles
-from .qstate import TOL
+from . import tree
 
 
 class UsageError(Exception):
@@ -42,39 +41,42 @@ def _fmt(value):
     return str(value)
 
 
-def _rounded(x):
-    """``x`` with every float (numpy scalars too) cut to 12 significant digits."""
-    if isinstance(x, dict):
-        return {k: _rounded(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_rounded(v) for v in x]
-    if isinstance(x, np.generic):
-        x = x.item()
-    if isinstance(x, float):
-        return float(format(x, ".12g"))
-    return x
-
-
 def _emit_json(doc):
     import json  # only --json needs it
 
-    print(json.dumps(_rounded(doc), indent=2))
+    import numpy as np  # every command with a JSON report has loaded it
+
+    def rounded(x):
+        """``x`` with every float (numpy scalars too) cut to 12 significant digits."""
+        if isinstance(x, dict):
+            return {k: rounded(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [rounded(v) for v in x]
+        if isinstance(x, np.generic):
+            x = x.item()
+        if isinstance(x, float):
+            return float(format(x, ".12g"))
+        return x
+
+    print(json.dumps(rounded(doc), indent=2))
 
 
 def _load_basis(ref):
-    if ref in BUILTIN_BASES:
-        return get_basis(ref)
+    from . import bases
+
+    if ref in tree.BASIS_NAMES:
+        return bases.get_basis(ref)
     path = Path(ref)
     if path.suffix == ".json" and path.is_file():
         try:
-            return OrthoProductBasis.from_json(path.read_text(), name=path.stem)
+            return bases.OrthoProductBasis.from_json(path.read_text(), name=path.stem)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read basis {path.name}: {exc}") from None
     raise UsageError(f"unknown basis {ref!r} (not a builtin, not a .json file)")
 
 
 def _load_protocol(ref, basis_name=None):
-    """``(name, tree, basis)`` of a built-in protocol or a ``.pdl`` file; the
+    """``(name, root, basis)`` of a built-in protocol or a ``.pdl`` file; the
     basis (``basis_name`` when given) must have the protocol's parties.  No
     built-in name ends in ``.pdl``, so a ``.pdl`` path needs no protocol table."""
     path = Path(ref)
@@ -90,13 +92,15 @@ def _load_protocol(ref, basis_name=None):
         name, root, source, parties = path.stem, doc.root, path.name, doc.parties
         basis_name, own = basis_name or doc.basis, None
     else:
-        from .protocols import BUILTIN_PROTOCOLS, get_protocol
-
-        if ref not in BUILTIN_PROTOCOLS:
+        if ref not in tree.PROTOCOL_NAMES:
             raise UsageError(f"unknown protocol {ref!r} (not a builtin, not a .pdl file)")
+        from .protocols import get_protocol
+
         proto = get_protocol(ref)
         name, root, source, own = proto.name, proto.root, ref, proto.basis()
         parties = own.parties
+    from .bases import get_basis
+
     try:
         basis = get_basis(basis_name) if basis_name else own
     except KeyError as exc:
@@ -120,6 +124,8 @@ def tolerance(text):
 # subcommands
 
 def cmd_check_basis(args):
+    from .bases import check_basis
+
     basis = _load_basis(args.basis)
     report = check_basis(basis)
     if args.json:
@@ -160,9 +166,9 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    from . import engine
-
     name, root, basis = _load_protocol(args.protocol, args.basis)
+    from . import engine  # after the protocol: a parse error loads no numpy
+
     report = engine.verify_protocol(root, basis, name, args.tol)
     if args.json:
         _emit_json(report.to_dict())
@@ -182,9 +188,9 @@ def cmd_verify(args):
 
 
 def cmd_account(args):
-    from . import engine
-
     name, root, basis = _load_protocol(args.protocol, args.basis)
+    from . import engine  # after the protocol: a parse error loads no numpy
+
     report = engine.verify_protocol(root, basis, name, args.tol)
     if not report.ok:
         print(f"protocol {name} fails verification; no ledger", file=sys.stderr)
@@ -209,8 +215,13 @@ def cmd_account(args):
 
 
 def cmd_tiles(args):
+    from .bases import render_tiles
+
     basis = _load_basis(args.basis)
     names = [p for p, _ in basis.parties]
+    if len(names) < 2:
+        raise UsageError(f"tiles needs at least two parties; basis {basis.name} "
+                         f"has {len(names)}")
     cut = args.cut
     if cut is None:
         if len(names) != 2:
@@ -231,13 +242,11 @@ def cmd_tiles(args):
 
 
 def cmd_list(args):
-    from .protocols import BUILTIN_PROTOCOLS
-
     print("bases:")
-    for name in BUILTIN_BASES:
+    for name in tree.BASIS_NAMES:
         print(f"  {name}")
     print("protocols:")
-    for name in BUILTIN_PROTOCOLS:
+    for name in tree.PROTOCOL_NAMES:
         print(f"  {name}")
     return 0
 
@@ -245,7 +254,7 @@ def cmd_list(args):
 def build_parser():
     parser = _Parser(prog="gnpb", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument("--tol", type=tolerance, default=TOL,
+    parser.add_argument("--tol", type=tolerance, default=tree.TOL,
                         help="verification tolerance in (0, 1) (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 

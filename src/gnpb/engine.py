@@ -1,12 +1,12 @@
 """Execution, verification and resource accounting for LOCC protocol trees.
 
-A protocol is a finite tree of measurement, resource-attachment and
-party-merge nodes with per-outcome children.  Verification runs every basis
-state through the tree simultaneously and checks, at each measurement, that
-the effects form a complete projective measurement local to the acting
-party and that all surviving post-states stay mutually orthogonal; leaves
-must identify exactly one candidate or terminate in a set certified
-distinguishable by :func:`leaf_verify`.
+The trees and their effects are the numpy-free types of :mod:`gnpb.tree`;
+this module materializes the effects and walks the trees.  Verification
+runs every basis state through a tree simultaneously and checks, at each
+measurement, that the effects form a complete projective measurement local
+to the acting party and that all surviving post-states stay mutually
+orthogonal; leaves must identify exactly one candidate or terminate in a
+set certified distinguishable by :func:`leaf_verify`.
 
 Entanglement accounting follows one rule: a resource attached on a path is
 consumed on a terminal branch iff some measurement on that path restricts
@@ -23,155 +23,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import RESOURCE_KINDS, resource_amplitudes, resource_ebits
-from .qstate import RANK_TOL, TOL, KetExpr, Subsystem, born, group_index, scatter
-
-
-# ---------------------------------------------------------------------------
-# projector expressions (the P[...] calculus used by all protocols)
-
-def kets(spec):
-    """Normalize a factor spec to a tuple of KetExpr (or None for identity)."""
-    if spec == "I" or spec is None:
-        return None
-    if not isinstance(spec, (list, tuple)) or (
-        isinstance(spec, tuple) and len(spec) == 3 and all(isinstance(x, int) for x in spec)
-    ):
-        spec = [spec]
-    out = []
-    for k in spec:
-        if isinstance(k, KetExpr):
-            out.append(k)
-        elif isinstance(k, int):
-            out.append(KetExpr(k))
-        elif isinstance(k, tuple) and len(k) == 3:
-            i, s, j = k
-            out.append(KetExpr(i, j, s))
-        else:
-            raise ValueError(f"bad ket spec {k!r}")
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class PTerm:
-    """One P[...] product term: per-register ket lists, identity if omitted."""
-
-    factors: tuple  # of (register name, tuple[KetExpr] | None)
-
-    def registers(self):
-        return tuple(name for name, _ in self.factors)
-
-    def restricted(self):
-        return tuple(name for name, ks in self.factors if ks is not None)
-
-
-def P(**factors):
-    """Build a product term, e.g. ``P(B=[0,1], b1=0)`` or ``P(C=(1, 1, 2))``.
-
-    Values: an int (computational ket), a 3-tuple ``(i, sign, j)`` for
-    (|i> + sign|j>)/sqrt2, a list of those, or "I" for an explicit identity.
-    """
-    return PTerm(tuple((name, kets(spec)) for name, spec in factors.items()))
-
-
-@dataclass(frozen=True)
-class Effect:
-    """A named effect: a sum of product terms, or the node remainder."""
-
-    name: str
-    terms: tuple | None  # None: identity minus the sum of sibling effects
-
-    @property
-    def is_rest(self):
-        return self.terms is None
-
-
-def eff(name, *terms):
-    return Effect(name, tuple(terms))
-
-
-def rest(name):
-    return Effect(name, None)
-
-
-# ---------------------------------------------------------------------------
-# protocol nodes
-
-@dataclass
-class Measure:
-    actor: str
-    effects: tuple
-    children: dict
-
-    def acted(self):
-        names: list[str] = []
-        for e in self.effects:
-            if e.is_rest:
-                continue
-            for t in e.terms:
-                for n in t.registers():
-                    if n not in names:
-                        names.append(n)
-        return tuple(names)
-
-    def restricted(self):
-        names = set()
-        for e in self.effects:
-            if e.is_rest:
-                continue
-            for t in e.terms:
-                names.update(t.restricted())
-        return frozenset(names)
-
-
-@dataclass
-class AttachResource:
-    kind: str
-    endpoints: tuple
-    labels: tuple
-    child: object
-
-    def __post_init__(self):
-        dims, _ = RESOURCE_KINDS[self.kind]
-        if len(self.labels) != len(dims) or len(self.endpoints) != len(dims):
-            raise ValueError(f"{self.kind} requires {len(dims)} endpoints/labels")
-
-
-@dataclass
-class MergeParties:
-    source: str
-    destination: str
-    cost: float
-    child: object
-
-
-@dataclass
-class Identify:
-    label: str
-
-
-@dataclass
-class Distinguishable:
-    labels: frozenset
-
-    def __init__(self, labels):
-        self.labels = frozenset(labels)
-
-
-@dataclass
-class Fail:
-    pass
-
-
-def measure(actor, effects, children):
-    names = [e.name for e in effects]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate effect names {names}")
-    if sum(1 for e in effects if e.is_rest) > 1:
-        raise ValueError("at most one remainder effect per node")
-    if set(children) != set(names):
-        raise ValueError(f"outcome branches {sorted(children)} do not match effects {sorted(names)}")
-    return Measure(actor=actor, effects=tuple(effects), children=dict(children))
+from .bases import resource_amplitudes, resource_ebits
+from .qstate import RANK_TOL, Subsystem, born, group_index, scatter
+from .tree import (
+    RESOURCE_KINDS,
+    TOL,
+    AttachResource,
+    Distinguishable,
+    Effect,
+    Fail,
+    Identify,
+    Measure,
+    MergeParties,
+    PTerm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +542,13 @@ class _Walk:
             if len(idx) > 1:
                 gram = np.abs(posts.conj() @ posts.T)
                 gram.flat[::len(idx) + 1] = 0.0
-                worst = float(gram.max())
-                if not worst <= 10 * self.tol:
+                broken = np.argwhere(~(gram <= 10 * self.tol))
+                if len(broken):
                     # name the first pair, in candidate order, that breaks the bound
-                    i, j = np.argwhere(~(gram <= 10 * self.tol))[0]
+                    i, j = broken[0]
                     self.fail(f"{path}/{effect.name}", "orthogonality",
                               f"survivors {labels[i]} and {labels[j]} "
-                              f"overlap {worst:.3e}")
+                              f"overlap {gram[i, j]:.3e}")
                     continue
             survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx], cols)
             self.run(node.children.get(effect.name), space, survivors, resources,
@@ -783,34 +648,3 @@ def resource_accounting(root, basis, name="protocol"):
         raise ProtocolVerificationError(report)
     return report.ledger
 
-
-# ---------------------------------------------------------------------------
-# static path analysis (no state propagation)
-
-def resource_cuts_per_path(root):
-    """For every root-to-leaf path: the set of bipartite cuts used.
-
-    A cut is the (sorted) endpoint pair of an attached two-party resource or
-    of a merge.  Used to check that protocols keep entanglement within one
-    bipartition per branch.
-    """
-    out = []
-
-    def walk(node, cuts, path):
-        if node is None or isinstance(node, (Identify, Distinguishable, Fail)):
-            out.append((path, frozenset(cuts)))
-            return
-        if isinstance(node, AttachResource):
-            new = cuts | ({tuple(sorted(node.endpoints))}
-                          if len(node.endpoints) == 2 else {tuple(sorted(node.endpoints))})
-            walk(node.child, new, path)
-            return
-        if isinstance(node, MergeParties):
-            new = cuts | {tuple(sorted((node.source, node.destination)))}
-            walk(node.child, new, path + f"/merge({node.source}->{node.destination})")
-            return
-        for name, child in node.children.items():
-            walk(child, cuts, path + "/" + name)
-
-    walk(root, set(), "root")
-    return out

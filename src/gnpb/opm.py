@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import RANK_TOL, TOL, kron_rows
+from .qstate import RANK_TOL, kron_rows
+from .tree import TOL
 
 
 def _party_index(basis):
@@ -172,16 +173,6 @@ def opm_solution_space(basis, group):
     mats.imag[:, k, l] = 0.0 - mats.imag[:, l, k]
     return HermitianSolutionSpace(group=group, local_dim=d, basis_matrices=mats,
                                   factors=factors, pairs=(i, j))
-
-
-def is_locally_irreducible(basis, partition):
-    """True iff every group of the partition only has trivial OPMs."""
-    seen = []
-    for g in partition:
-        seen.extend(g)
-    if sorted(seen) != sorted(p for p, _ in basis.parties):
-        raise ValueError("partition must cover every party exactly once")
-    return all(opm_solution_space(basis, g).dim == 1 for g in partition)
 
 
 # ---------------------------------------------------------------------------

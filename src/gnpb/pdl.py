@@ -29,18 +29,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bases import RESOURCE_KINDS
-from .engine import (
+from .tree import (
+    RESOURCE_KINDS,
     AttachResource,
     Distinguishable,
     Effect,
     Fail,
     Identify,
+    KetExpr,
     Measure,
     MergeParties,
     PTerm,
 )
-from .qstate import KetExpr
 
 
 class PdlError(ValueError):
@@ -496,10 +496,14 @@ def _node_lines(node, indent):
 
 
 def serialize(protocol):
-    """Canonical PDL text of a :class:`NamedProtocol`."""
-    basis = protocol.basis()
-    lines = ["parties { " + " ".join(f"{p}:{d}" for p, d in basis.parties) + " }",
-             f"basis {protocol.basis_name}"]
+    """Canonical PDL text of a :class:`PdlDocument`, or of a
+    :class:`~gnpb.protocols.NamedProtocol`, whose basis gives the parties."""
+    if isinstance(protocol, PdlDocument):
+        parties, basis = protocol.parties, protocol.basis
+    else:
+        parties, basis = protocol.basis().parties, protocol.basis_name
+    lines = ["parties { " + " ".join(f"{p}:{d}" for p, d in parties) + " }",
+             f"basis {basis}"]
     node = protocol.root
     while isinstance(node, AttachResource):
         lines.append(f"resource {node.kind}({','.join(node.endpoints)}) "

@@ -1,7 +1,7 @@
 """Executable encodings of the built-in discrimination protocols.
 
 Each builder returns a :class:`NamedProtocol` whose tree is written in
-the product-projector calculus of :mod:`gnpb.engine`.  Sibling outcome
+the product-projector calculus of :mod:`gnpb.tree`.  Sibling outcome
 branches that are mirror images of the first one are generated by ancilla
 bit-flip symmetries and then machine-verified, never trusted.  Where a
 surviving pair only differs in an entangled sign shared with a remote
@@ -15,20 +15,17 @@ from dataclasses import dataclass
 from math import log2
 
 from .bases import SIGNS, _SIGN, get_basis
-from .engine import (
+from .engine import complete_by_symmetry, flip_sym, resource_accounting, verify_protocol
+from .tree import (
     AttachResource,
     Distinguishable,
     Fail,
     Identify,
     MergeParties,
     P,
-    complete_by_symmetry,
     eff,
-    flip_sym,
     measure,
     rest,
-    resource_accounting,
-    verify_protocol,
 )
 
 LOG2_3 = log2(3)

@@ -4,8 +4,9 @@ Registers are identified by name, never by position: every embedding of an
 operator into the joint space goes through subsystem labels, which keeps
 party bookkeeping honest when protocols attach ancillas or merge parties.
 All values are immutable after construction and every operation is a pure
-function.  :class:`KetExpr` is the one ket vocabulary (bases and effects
-are built from it) and :func:`born` is the one Born rule.
+function.  :func:`born` is the one Born rule; the one ket vocabulary,
+:class:`~gnpb.tree.KetExpr`, and the tolerance ``TOL`` live in
+:mod:`gnpb.tree`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-#: Global comparison tolerance.  Every amplitude occurring in the supported
-#: state families is 0, +-1, +-1/2, +-1/sqrt2 or 1/sqrt3, so a single loose
-#: cutoff is safe at the dimensions involved (<= a few thousand).
-TOL = 1e-9
+from .tree import TOL
 
 #: Looser cutoff used for rank decisions and orthogonality-preservation
 #: checks, relative to unit-normalized vectors.
@@ -148,47 +146,6 @@ class Ket:
 
     def __repr__(self):
         return f"Ket(dim={self.space.dim})"
-
-
-@dataclass(frozen=True)
-class KetExpr:
-    """A computational ket |i> or a two-term superposition (|i> + s|j>)/sqrt2."""
-
-    i: int
-    j: int | None = None
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.j is not None:
-            if self.i == self.j:
-                raise ValueError("superposition needs two distinct levels")
-            if self.sign not in (1, -1):
-                raise ValueError("sign must be +-1")
-            if self.i > self.j:
-                # same ray up to a global phase; keep a canonical order
-                lo, hi = self.j, self.i
-                object.__setattr__(self, "i", lo)
-                object.__setattr__(self, "j", hi)
-
-    def vector(self, dim):
-        levels = (self.i,) if self.j is None else (self.i, self.j)
-        if not all(0 <= lvl < dim for lvl in levels):
-            raise ValueError(f"ket levels {levels} out of range for dimension {dim}")
-        v = np.zeros(dim)
-        if self.j is None:
-            v[self.i] = 1.0
-        else:
-            v[self.i] = 1.0 / np.sqrt(2.0)
-            v[self.j] = self.sign / np.sqrt(2.0)
-        return v
-
-    def permuted(self, perm):
-        if self.j is None:
-            return KetExpr(perm[self.i])
-        a, b = perm[self.i], perm[self.j]
-        if a > b:
-            a, b = b, a
-        return KetExpr(a, b, self.sign)
 
 
 class Born(NamedTuple):

@@ -12,10 +12,11 @@ from math import log2, prod
 
 import numpy as np
 
-from gnpb.bases import RESOURCE_KINDS, resource_amplitudes, resource_ebits
-from gnpb.engine import (
-    AttachResource, Distinguishable, Fail, Identify, Measure, MergeParties, leaf_verify)
-from gnpb.qstate import RANK_TOL, TOL, Ket, Subsystem
+from gnpb.bases import resource_amplitudes, resource_ebits
+from gnpb.engine import leaf_verify
+from gnpb.qstate import RANK_TOL, Ket, Subsystem
+from gnpb.tree import (
+    RESOURCE_KINDS, TOL, AttachResource, Distinguishable, Fail, Identify, Measure, MergeParties)
 
 
 def _projector(term, acted, dims):

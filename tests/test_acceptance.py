@@ -11,9 +11,11 @@ import pytest
 
 from gnpb import pdl
 from gnpb.bases import get_basis
-from gnpb.engine import leaf_verify, resource_cuts_per_path, verify_protocol
+from gnpb.engine import leaf_verify, verify_protocol
 from gnpb.opm import classify, find_eliminating_opm, opm_solution_space
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
+
+from .helpers import resource_cuts_per_path
 
 TOL = 1e-9
 

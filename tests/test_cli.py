@@ -170,6 +170,9 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
                                    {"name": "C", "dim": 2}],
                        "states": [{"label": "s", "factors": [[], [[1, 0], [0, 0]],
                                                              [[1, 0], [0, 0]]]}]})
+ONE_PARTY = json.dumps({"parties": [{"name": "A", "dim": 2}],
+                        "states": [{"label": f"s{i}", "factors": [f]}
+                                   for i, f in enumerate([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])]})
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -197,6 +200,8 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
     pytest.param(("check-basis", "FILE"), DIM_BOOL, id="check-basis-dim-bool"),
     pytest.param(("tiles", "FILE", "--cut", "AB|C"), DIM_STRING, id="tiles-dim-string"),
     pytest.param(("classify", "FILE"), NAME_NULL, id="classify-name-null"),
+    pytest.param(("tiles", "FILE", "--cut", "|A"), ONE_PARTY, id="tiles-one-party-cut"),
+    pytest.param(("tiles", "FILE"), ONE_PARTY, id="tiles-one-party"),
     pytest.param(("--tol", "nan", "verify", "prop5_II33"), None, id="tol-nan"),
     pytest.param(("--tol", "-1", "verify", "prop5_II33"), None, id="tol-negative"),
     pytest.param(("--tol", "inf", "verify", "prop5_II33"), None, id="tol-inf"),
@@ -228,6 +233,25 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
     code, out, err = run(capsys, *(str(paths[a]) if a in paths else a for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_catalogue_names_the_builders():
+    from gnpb import tree
+    from gnpb.bases import BUILTIN_BASES, get_basis
+    from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
+
+    assert tuple(BUILTIN_BASES) == tree.BASIS_NAMES
+    assert tuple(BUILTIN_PROTOCOLS) == tree.PROTOCOL_NAMES
+    assert [get_basis(n).name for n in tree.BASIS_NAMES] == list(tree.BASIS_NAMES)
+    assert [get_protocol(n).name for n in tree.PROTOCOL_NAMES] == list(tree.PROTOCOL_NAMES)
+
+
+def test_tiles_on_one_party_says_why(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(ONE_PARTY)
+    for cut in ((), ("--cut", "|A")):
+        assert run(capsys, "tiles", str(path), *cut) == (
+            1, "", "error: tiles needs at least two parties; basis one has 1\n")
 
 
 MISMATCHED_PDL = """parties { A:4 B:3 }

@@ -17,6 +17,18 @@ from gnpb.bases import (
     xi,
 )
 from gnpb.engine import (
+    ProtocolVerificationError,
+    complete_by_symmetry,
+    conjugate_tree,
+    flip_sym,
+    leaf_verify,
+    materialize,
+    resource_accounting,
+    verify_protocol,
+)
+from gnpb.protocols import get_protocol
+from gnpb.qstate import Ket, Subsystem
+from gnpb.tree import (
     AttachResource,
     Distinguishable,
     Effect,
@@ -26,21 +38,12 @@ from gnpb.engine import (
     Measure,
     MergeParties,
     P,
-    ProtocolVerificationError,
-    complete_by_symmetry,
-    conjugate_tree,
     eff,
-    flip_sym,
-    leaf_verify,
-    materialize,
     measure,
-    resource_accounting,
-    resource_cuts_per_path,
     rest,
-    verify_protocol,
 )
-from gnpb.protocols import get_protocol
-from gnpb.qstate import Ket, Subsystem
+
+from .helpers import resource_cuts_per_path
 
 
 def _single_state_basis():

@@ -1,5 +1,7 @@
 """Each command loads only the gnpb modules it runs, and none loads ``numpy.ma``,
-whose first import alone takes tens of ms (checked in a fresh process)."""
+whose first import alone takes tens of ms (checked in a fresh process).
+``list``, ``--help``, usage errors, ``.pdl`` parse errors and the ``.pdl``
+round trip load no numpy at all."""
 
 import json
 import subprocess
@@ -10,18 +12,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs ``code`` with argv, then prints the gnpb modules and numpy.ma if loaded
+# runs ``code`` with argv, then prints the gnpb modules, numpy and numpy.ma if loaded
 PROBE = """
 import contextlib, io, json, sys
 {code}
 print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("gnpb", "numpy.ma") or m.startswith("gnpb."))))
+                        if m in ("gnpb", "numpy", "numpy.ma") or m.startswith("gnpb."))))
 """
+# the CLI with argv, which must exit with the code filled in
 CLI = """
 from gnpb.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-assert code == 0, code
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help exits inside argparse
+        code = exc.code
+assert code == {exit}, code
 """
 
 
@@ -56,6 +62,32 @@ def test_package_names_still_import():
      {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
-    modules = loaded(CLI, *argv)
+    modules = loaded(CLI.format(exit=0), *argv)
     assert "gnpb.cli" in modules
     assert not modules & absent
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("list",), 0, id="list"),
+    pytest.param(("--help",), 0, id="help"),
+    pytest.param(("--tol", "2", "verify", "prop7"), 1, id="bad-tol"),
+    pytest.param(("frobnicate",), 1, id="unknown-command"),
+    pytest.param(("verify", "BROKEN.pdl"), 1, id="parse-error"),
+])
+def test_front_door_loads_no_numpy(tmp_path, argv, code):
+    broken = tmp_path / "BROKEN.pdl"
+    broken.write_text((ROOT / "protocols" / "prop8.pdl").read_text().replace("{0}", "{x}", 1))
+    modules = loaded(CLI.format(exit=code), *(str(broken) if a == broken.name else a for a in argv))
+    parsed = {"gnpb.pdl"} if broken.name in argv else set()
+    assert modules == {"gnpb", "gnpb.cli", "gnpb.tree"} | parsed
+
+
+def test_pdl_round_trip_loads_no_numpy():
+    code = ("from pathlib import Path\n"
+            "from gnpb import pdl\n"
+            "paths = sorted(Path('protocols').glob('*.pdl'))\n"
+            "assert len(paths) == 10\n"
+            "for path in paths:\n"
+            "    text = path.read_text()\n"
+            "    assert pdl.serialize(pdl.parse(text)) == text, path\n")
+    assert loaded(code) == {"gnpb", "gnpb.pdl", "gnpb.tree"}

@@ -18,21 +18,22 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gnpb import pdl
-from gnpb.bases import BUILTIN_BASES, RESOURCE_KINDS, get_basis
+from gnpb.bases import BUILTIN_BASES, get_basis
 from gnpb.cli import main
-from gnpb.engine import (
+from gnpb.engine import verify_protocol
+from gnpb.protocols import NamedProtocol
+from gnpb.tree import (
+    RESOURCE_KINDS,
     AttachResource,
     Distinguishable,
     Effect,
     Fail,
     Identify,
+    KetExpr,
     Measure,
     MergeParties,
     PTerm,
-    verify_protocol,
 )
-from gnpb.protocols import NamedProtocol
-from gnpb.qstate import KetExpr
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "report-schema.md"
 DOCUMENTED_KINDS = set(re.findall(

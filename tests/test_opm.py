@@ -14,10 +14,11 @@ from gnpb.opm import (
     constrained_pairs,
     find_eliminating_opm,
     group_factorization,
-    is_locally_irreducible,
     opm_solution_space,
 )
 from gnpb.qstate import RANK_TOL
+
+from .helpers import is_locally_irreducible
 
 # ---------------------------------------------------------------------------
 # independent oracle: full-space embedding, all pairs, no overlap gating

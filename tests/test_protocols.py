@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from gnpb.bases import comp, eta, get_basis, xi
-from gnpb.engine import (
-    Distinguishable,
-    Identify,
-    leaf_verify,
-    materialize,
-    resource_cuts_per_path,
-    verify_protocol,
-)
+from gnpb.engine import leaf_verify, materialize, verify_protocol
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL, born
+from gnpb.tree import Distinguishable, Identify
+
+from .helpers import resource_cuts_per_path
 
 
 def _born1(space, acted, matrix, vec):

@@ -9,13 +9,13 @@ from gnpb.bases import ProductState, comp, eta, xi
 from gnpb.qstate import (
     CompositeSpace,
     Ket,
-    KetExpr,
     LabelCollisionError,
     Subsystem,
     born,
     pairwise_max_overlap,
     schmidt_ebits,
 )
+from gnpb.tree import KetExpr
 
 
 def test_tensor_basis_case():
