@@ -203,10 +203,10 @@ def born(space, acted, matrices, stack, cols, memo, tol):
     are scattered into an ``(n, d, R')`` block over the R' rest indices they
     use, ascending.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
     reduced state of the acted registers; only the (effect, state) pairs
-    above ``tol`` are projected, each scaled to unit norm.  Each effect's
-    post-states come when the caller reaches them, as ``(values, cols)``: a
-    ``(k, C')`` stack whose columns run acted index first, then rest index,
-    with all-zero columns dropped, and their flat indices in ``space``.  ``memo`` keeps the
+    above ``tol`` are projected.  Each effect's post-states come when the
+    caller reaches them, as ``(values, cols)``: a ``(k, C')`` stack whose
+    columns run acted index first, then rest index, with all-zero columns
+    dropped, and their flat indices in ``space``.  ``memo`` keeps the
     :func:`group_index` tables and their inverses.  The dtype follows the
     inputs: real effects on real states stay real.
     """
@@ -226,13 +226,9 @@ def born(space, acted, matrices, stack, cols, memo, tol):
     flat = memo[key][:, kept]
 
     def posts():
-        for m, idx in zip(mats, survivors):
+        for m, row, idx in zip(mats, probs, survivors):
             projected = m @ block[idx]                         # (k, d, R')
-            # by the projection's own norm, not sqrt(tr(M_e rho_c)): the two
-            # differ by rounding, which a probability near ``tol`` magnifies
-            # (a projection that rounds to zero stays zero)
-            norms = np.linalg.norm(projected, axis=(1, 2))
-            projected /= np.where(norms > 0, norms, 1.0)[:, None, None]
+            projected /= np.sqrt(row[idx])[:, None, None]
             nonzero = projected.any(axis=0)
             yield projected[:, nonzero], flat[nonzero]
 
