@@ -542,10 +542,9 @@ class _Walk:
             if len(idx) > 1:
                 gram = np.abs(posts.conj() @ posts.T)
                 gram.flat[::len(idx) + 1] = 0.0
-                broken = np.argwhere(~(gram <= 10 * self.tol))
-                if len(broken):
+                if not gram.max() <= 10 * self.tol:
                     # name the first pair, in candidate order, that breaks the bound
-                    i, j = broken[0]
+                    i, j = np.argwhere(~(gram <= 10 * self.tol))[0]
                     self.fail(f"{path}/{effect.name}", "orthogonality",
                               f"survivors {labels[i]} and {labels[j]} "
                               f"overlap {gram[i, j]:.3e}")
