@@ -37,7 +37,7 @@ print("=== resource states and their per-cut entanglement ===")
 from gnpb.qstate import schmidt_ebits
 
 for kind in ("EPR", "EPR3", "GHZ", "W"):
-    dims, _ = bases.RESOURCE_KINDS[kind]
+    dims = bases.RESOURCE_KINDS[kind][0]
     labels = [f"r{i}" for i in range(len(dims))]
     ket = bases.resource_ket(kind, labels, labels)
     ebits = schmidt_ebits(ket, (labels[0],))

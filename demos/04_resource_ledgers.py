@@ -11,7 +11,7 @@ from gnpb.protocols import get_protocol
 
 print("=== ledgers vs teleporting everything to one party ===")
 for name in ("prop5_II33", "prop6", "prop7", "prop8", "remark2", "typeI_43"):
-    ledger = get_protocol(name).ledger()
+    ledger = get_protocol(name).verify().ledger
     rows = ", ".join(
         f"{r.kind}({'-'.join(r.endpoints)}) x {r.expected_uses:.6g}"
         for r in ledger.rows)
@@ -24,11 +24,11 @@ for name in ("prop5_II33", "prop6", "prop7", "prop8", "remark2", "typeI_43"):
 
 print()
 print("=== landmark averages ===")
-p7 = get_protocol("prop7").ledger()
+p7 = get_protocol("prop7").verify().ledger
 print(f"prop7 third-pair consumption: {p7.expected('EPR', ('B', 'C')):.12f} "
       f"(8/27 = {8 / 27:.12f})")
-p8 = get_protocol("prop8").ledger()
-r2 = get_protocol("remark2").ledger()
+p8 = get_protocol("prop8").verify().ledger
+r2 = get_protocol("remark2").verify().ledger
 print(f"prop8 conditional EPR:        {p8.expected('EPR', ('B', 'C')):.12f} (1/8)")
 print(f"remark2 conditional EPR:      {r2.expected('EPR', ('B', 'C')):.12f} (11/16)")
 print()

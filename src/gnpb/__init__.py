@@ -17,8 +17,7 @@ _EXPORTS = {
     "bases": ("BUILTIN_BASES", "OrthoProductBasis", "basis_I_43", "basis_II_33",
               "basis_II_43", "basis_IIb_33", "bennett_npb_3x3", "check_basis",
               "get_basis", "render_tiles", "shift_upb_opb_222"),
-    "engine": ("ProtocolVerificationError", "ResourceLedger", "complete_by_symmetry",
-               "leaf_verify", "resource_accounting", "verify_protocol"),
+    "engine": ("ResourceLedger", "complete_by_symmetry", "leaf_verify", "verify_protocol"),
     "opm": ("GnpbClassification", "classify", "find_eliminating_opm", "opm_solution_space"),
     "protocols": ("BUILTIN_PROTOCOLS", "NamedProtocol", "basis_I_43_protocol", "get_protocol",
                   "prop5_protocol", "prop6_protocol", "prop7_protocol", "prop8_protocol",

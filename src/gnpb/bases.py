@@ -394,43 +394,21 @@ def get_basis(name):
 # resource states
 
 def resource_amplitudes(kind):
-    if kind == "EPR":
-        v = np.zeros(4)
-        v[[0, 3]] = 1 / np.sqrt(2)
-    elif kind == "EPR3":
-        v = np.zeros(9)
-        v[[0, 4, 8]] = 1 / np.sqrt(3)
-    elif kind == "GHZ":
-        v = np.zeros(8)
-        v[[0, 7]] = 1 / np.sqrt(2)
-    elif kind == "W":
-        v = np.zeros(8)
-        v[[1, 2, 4]] = 1 / np.sqrt(3)
-    else:
-        raise KeyError(f"unknown resource kind {kind!r}")
+    dims, _, support = RESOURCE_KINDS[kind]
+    v = np.zeros(prod(dims))
+    v[list(support)] = 1 / np.sqrt(len(support))
     return v
 
 
 def resource_ket(kind, labels, owners):
     """Resource state on fresh registers ``labels`` owned by ``owners``."""
-    dims, _ = RESOURCE_KINDS[kind]
+    dims = RESOURCE_KINDS[kind][0]
     if len(labels) != len(dims) or len(owners) != len(dims):
         raise ValueError(f"{kind} needs {len(dims)} registers")
     space = CompositeSpace(
         Subsystem(lbl, d, owner) for lbl, d, owner in zip(labels, dims, owners)
     )
     return Ket(space, resource_amplitudes(kind))
-
-
-def resource_ebits(kind):
-    """Entanglement (in ebits) assigned to one consumed copy of the resource.
-
-    GHZ is deliberately excluded: it is tracked in its own unit and never
-    silently converted to ebits (conversion to EPR pairs may be irreversible).
-    """
-    if kind == "GHZ":
-        raise ValueError("GHZ is accounted in its own unit, not in ebits")
-    return RESOURCE_KINDS[kind][1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import resource_amplitudes, resource_ebits
+from .bases import resource_amplitudes
 from .qstate import RANK_TOL, Subsystem, born, group_index, scatter
 from .tree import (
     RESOURCE_KINDS,
@@ -122,11 +122,12 @@ def flip_sym(*registers):
     return {r: FLIP for r in registers}
 
 
-def complete_by_symmetry(node, sym, source=None):
-    """Fill missing outcome branches of a measurement from a finished one.
+def complete_by_symmetry(node, sym):
+    """Fill missing outcome branches of a measurement from its one finished
+    branch.
 
     Every ``None`` child is replaced by the conjugation (under ``sym``) of
-    the source outcome's subtree.  The completion is a claim, not a proof:
+    the finished outcome's subtree.  The completion is a claim, not a proof:
     the completed protocol must still pass :func:`verify_protocol`.
     """
     if not isinstance(node, Measure):
@@ -134,12 +135,10 @@ def complete_by_symmetry(node, sym, source=None):
     missing = [k for k, v in node.children.items() if v is None]
     if not missing:
         return node
-    done = [k for k, v in node.children.items() if v is not None]
-    if source is None:
-        if len(done) != 1:
-            raise ValueError("source outcome is ambiguous; pass source=...")
-        source = done[0]
-    template = node.children[source]
+    done = [v for v in node.children.values() if v is not None]
+    if len(done) != 1:
+        raise ValueError(f"{len(done)} finished branches; symmetry completion needs one")
+    template = done[0]
     children = dict(node.children)
     for k in missing:
         children[k] = conjugate_tree(template, sym)
@@ -381,13 +380,6 @@ class VerificationReport:
         }
 
 
-class ProtocolVerificationError(RuntimeError):
-    def __init__(self, report):
-        super().__init__(f"protocol {report.protocol!r} failed verification: "
-                         f"{report.failures[:3]}")
-        self.report = report
-
-
 def _broken_law(effects, mats, tol):
     """``(kind, detail)`` of the first law a node's effect matrices break:
     they must sum to the identity and each must be a projector.  Every gate
@@ -474,7 +466,7 @@ class _Walk:
             if lbl in space.names or lbl in node.labels[:n]:
                 self.fail(path, "attach-label", f"register {lbl!r} already exists")
                 return
-        dims, _ = RESOURCE_KINDS[node.kind]
+        dims = RESOURCE_KINDS[node.kind][0]
         new_subs = [Subsystem(lbl, d, owner)
                     for lbl, d, owner in zip(node.labels, dims, node.endpoints)]
         amps = resource_amplitudes(node.kind)
@@ -622,7 +614,7 @@ def verify_protocol(root, basis, name="protocol", tol=TOL):
     if ok:
         rows = []
         for (kind, endpoints), uses in sorted(walk.consumption.items()):
-            per = None if kind == "GHZ" else resource_ebits(kind)
+            per = None if kind == "GHZ" else RESOURCE_KINDS[kind][1]  # GHZ: own unit
             rows.append(LedgerRow(kind, endpoints, float(uses), per))
         for (src, dst, cost), uses in sorted(walk.merges.items()):
             rows.append(LedgerRow("MERGE", (src, dst), float(uses), cost))
@@ -638,12 +630,4 @@ def verify_protocol(root, basis, name="protocol", tol=TOL):
         ledger=ledger,
         leaf_strategies=walk.leaf_strategies,
     )
-
-
-def resource_accounting(root, basis, name="protocol"):
-    """Averaged entanglement ledger of a verified protocol (uniform prior)."""
-    report = verify_protocol(root, basis, name)
-    if not report.ok:
-        raise ProtocolVerificationError(report)
-    return report.ledger
 

@@ -70,29 +70,15 @@ _PUNCT = {
 
 # One match per blank run, comment or token; only tokens fill the group.  A
 # word starts with a letter, digit or underscore (``str.isalnum``, as ``\w``
-# does) and holds dots and every sign that follows an e or E and precedes a
-# word character; :func:`_unsigned` then keeps only the signed exponents of
-# numbers, such as 1e-05.
+# does) and holds dots; a word that starts with a decimal digit also holds
+# every sign that follows an e or E and precedes a decimal digit, so the
+# signed exponents of numbers such as 1e-05 stay whole.
 _SCAN = re.compile(r"""
     [ \t\r\n]+ | \#[^\n]*
   | ( -> | [{}\[\]():,=+\-/]
-    | \w[\w.]* (?: (?<=[eE]) [+-] \w[\w.]* )*
+    | \d[\w.]* (?: (?<=[eE]) [+-] \d[\w.]* )* | \w[\w.]*
     | . )
 """, re.VERBOSE)
-_SIGNED = re.compile(r"[eE][+-]\w")  # a text without it has no sign inside a word
-
-
-def _unsigned(token):
-    """``token`` split at each sign that is no exponent: a sign stays in a
-    word only when the word starts with a digit and a digit follows it."""
-    if token[0] in "+-":  # punctuation, not a word
-        return [token]
-    pieces, start = [], 0
-    for i, ch in enumerate(token):
-        if ch in "+-" and not (token[start].isdigit() and token[i + 1].isdigit()):
-            pieces += [token[start:i], ch]
-            start = i + 1
-    return pieces + [token[start:]]
 
 
 def _lex(text):
@@ -101,8 +87,6 @@ def _lex(text):
     Positions are not kept: :func:`_position` finds them again for the one
     token an error names."""
     texts = [t for t in _SCAN.findall(text) if t]
-    if _SIGNED.search(text):
-        texts = [piece for t in texts for piece in _unsigned(t)]
     # a one-character token that is neither punctuation nor a word is an error
     kinds = [_PUNCT[t] if t in _PUNCT else "NUMBER" if "." in t and t != "." else
              "ATOM" if len(t) > 1 or t.isalnum() or t == "_" else "?" for t in texts]
@@ -114,14 +98,7 @@ def _lex(text):
 
 def _position(text, index):
     """``(line, col)`` of token ``index`` of ``text``, or of EOF past the last."""
-    signed = _SIGNED.search(text)
-    starts = []
-    for m in _SCAN.finditer(text):
-        if m.group(1):
-            start = m.start()
-            for piece in _unsigned(m.group(1)) if signed else [m.group(1)]:
-                starts.append(start)
-                start += len(piece)
+    starts = [m.start() for m in _SCAN.finditer(text) if m.group(1)]
     if index < len(starts):
         pos = starts[index]
     else:  # a comment on the last line does not move the EOF column
@@ -182,7 +159,7 @@ class _Parser:
 
     def integer(self, what="integer"):
         tok = self.atom(what)
-        if not self.texts[tok].isdigit():
+        if not self.texts[tok].isdecimal():  # what int() reads
             self.error(f"expected {what}, found {self.texts[tok]!r}", tok)
         return int(self.texts[tok])
 
@@ -224,7 +201,7 @@ class _Parser:
         kind = self.texts[tok]
         if kind not in RESOURCE_KINDS:
             self.error(f"unknown resource kind {kind!r}", tok)
-        dims, _ = RESOURCE_KINDS[kind]
+        dims = RESOURCE_KINDS[kind][0]
         self.expect("LPAREN")
         endpoints = [self.name("party")]
         while self.peek() == "COMMA":
@@ -359,7 +336,7 @@ class _Parser:
     def ket(self, reg):
         dim = self.dims[reg]
         tok, word = self.pos, self.texts[self.pos]
-        if self.peek() == "ATOM" and word.isdigit():
+        if self.peek() == "ATOM" and word.isdecimal():
             self.next()
             level = int(word)
             if level >= dim:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .bases import SIGNS, _SIGN, get_basis
-from .engine import complete_by_symmetry, flip_sym, resource_accounting, verify_protocol
+from .bases import SIGNS, _SIGN, bennett_npb_3x3, get_basis
+from .engine import complete_by_symmetry, flip_sym, verify_protocol
 from .tree import (
     AttachResource,
     Distinguishable,
@@ -46,9 +46,6 @@ class NamedProtocol:
     def verify(self, basis=None):
         return verify_protocol(self.root, basis if basis is not None else self.basis(),
                                name=self.name)
-
-    def ledger(self):
-        return resource_accounting(self.root, self.basis(), name=self.name)
 
 
 def D(*labels):
@@ -683,15 +680,6 @@ def remark2_protocol():
 # ---------------------------------------------------------------------------
 # the reducible 64-state basis: eliminate first, then pay in one cut only
 
-def _bennett_labels(suffix=None, prefix=None):
-    names = ("0ep", "0em", "ep2", "em2", "2xp", "2xm", "xp0", "xm0", "11")
-    if suffix:
-        return tuple(f"{n}{suffix}" for n in names)
-    if prefix:
-        return tuple(f"{prefix}{n}" for n in names)
-    return names
-
-
 def basis_I_43_protocol():
     """First eliminate via the 3-vs-rest projection, then spend log2(3) in
     the one cut the outcome points at.
@@ -701,9 +689,10 @@ def basis_I_43_protocol():
     known cheaper 1-ebit completion is not modeled, so the ledger is an
     upper bound.
     """
+    bennett = bennett_npb_3x3().labels
     merge_bc = MergeParties(
         "C", "B", LOG2_3,
-        D(*_bennett_labels(prefix="3_")),
+        D(*(f"3_{n}" for n in bennett)),
     )
     a3_branch = measure(
         "B",
@@ -719,7 +708,7 @@ def basis_I_43_protocol():
     )
     merge_ab = MergeParties(
         "B", "A", LOG2_3,
-        D(*_bennett_labels(suffix="_3")),
+        D(*(f"{n}_3" for n in bennett)),
     )
     rest36 = tuple("".join(str(i) for i in t) for t in _r_table_no3())
     a012_branch = measure(

@@ -26,12 +26,13 @@ BASIS_NAMES = ("bennett_3x3", "B_I_43", "B_II_43", "B_II_33", "B_IIb_33", "shift
 PROTOCOL_NAMES = ("prop5_II33", "prop5_IIb33", "prop6", "prop7", "prop8", "remark2",
                   "typeI_43", "shift_BC", "shift_AB", "shift_CA")
 
-#: kind -> (local dims, ebits across any single-party cut)
+#: kind -> (local dims, ebits across any single-party cut, support): the
+#: state is the uniform superposition of the flat levels in its support
 RESOURCE_KINDS = {
-    "EPR": ((2, 2), 1.0),
-    "EPR3": ((3, 3), log2(3)),
-    "GHZ": ((2, 2, 2), 1.0),
-    "W": ((2, 2, 2), log2(3) - 2.0 / 3.0),
+    "EPR": ((2, 2), 1.0, (0, 3)),
+    "EPR3": ((3, 3), log2(3), (0, 4, 8)),
+    "GHZ": ((2, 2, 2), 1.0, (0, 7)),
+    "W": ((2, 2, 2), log2(3) - 2.0 / 3.0, (1, 2, 4)),
 }
 
 
@@ -72,10 +73,7 @@ class KetExpr:
     def permuted(self, perm):
         if self.j is None:
             return KetExpr(perm[self.i])
-        a, b = perm[self.i], perm[self.j]
-        if a > b:
-            a, b = b, a
-        return KetExpr(a, b, self.sign)
+        return KetExpr(perm[self.i], perm[self.j], self.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,7 @@ class AttachResource:
     child: object
 
     def __post_init__(self):
-        dims, _ = RESOURCE_KINDS[self.kind]
+        dims = RESOURCE_KINDS[self.kind][0]
         if len(self.labels) != len(dims) or len(self.endpoints) != len(dims):
             raise ValueError(f"{self.kind} requires {len(dims)} endpoints/labels")
 

@@ -12,7 +12,7 @@ from math import log2, prod
 
 import numpy as np
 
-from gnpb.bases import resource_amplitudes, resource_ebits
+from gnpb.bases import resource_amplitudes
 from gnpb.engine import leaf_verify
 from gnpb.qstate import RANK_TOL, Ket, Subsystem
 from gnpb.tree import (
@@ -44,7 +44,7 @@ class ReferenceWalk:
         if any(not abs(p - 1.0) <= tol for p in self.identification.values()):
             self.failures.add(("total", "identification"))
         self.ok = not self.failures  # the ledger counts only then
-        self.ledger = [(kind, ends, uses, None if kind == "GHZ" else resource_ebits(kind))
+        self.ledger = [(kind, ends, uses, None if kind == "GHZ" else RESOURCE_KINDS[kind][1])
                        for (kind, ends), uses in sorted(self.consumption.items())]
         self.ledger += [("MERGE", (src, dst), uses, cost)
                         for (src, dst, cost), uses in sorted(self.merges.items())]

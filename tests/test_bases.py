@@ -207,7 +207,7 @@ def test_empty_basis_has_an_empty_joint_matrix():
     ("W", np.log2(3) - 2 / 3),
 ])
 def test_resource_entropies(kind, cut_ebits):
-    dims, declared = RESOURCE_KINDS[kind]
+    dims, declared = RESOURCE_KINDS[kind][:2]
     labels = [f"r{i}" for i in range(len(dims))]
     ket = resource_ket(kind, labels, labels)
     for lbl in labels:

@@ -17,13 +17,11 @@ from gnpb.bases import (
     xi,
 )
 from gnpb.engine import (
-    ProtocolVerificationError,
     complete_by_symmetry,
     conjugate_tree,
     flip_sym,
     leaf_verify,
     materialize,
-    resource_accounting,
     verify_protocol,
 )
 from gnpb.protocols import get_protocol
@@ -244,7 +242,7 @@ def test_untouched_resource_not_charged():
         "EPR", ("A", "B"), ("x", "y"),
         measure("A", (eff("all", P(A=[0, 1])),), {"all": Identify("only")}),
     )
-    ledger = resource_accounting(root, basis, "lazy")
+    ledger = verify_protocol(root, basis, "lazy").ledger
     assert ledger.expected("EPR", ("A", "B")) == 0.0
     assert ledger.total_ebits == 0.0
 
@@ -256,7 +254,7 @@ def test_touched_resource_charged_in_full():
         measure("A", (eff("xp", P(x=(0, 1, 1))), eff("xm", P(x=(0, -1, 1)))),
                 {"xp": Identify("only"), "xm": Identify("only")}),
     )
-    ledger = resource_accounting(root, basis, "eager")
+    ledger = verify_protocol(root, basis, "eager").ledger
     assert ledger.expected("EPR", ("A", "B")) == pytest.approx(1.0)
     assert ledger.total_ebits == pytest.approx(1.0)
 
@@ -284,8 +282,8 @@ def test_repeated_attach_labels_fail_at_the_attach_node():
 def test_accounting_requires_verification():
     basis = _single_state_basis()
     root = measure("A", (eff("half", P(A=0)),), {"half": Identify("only")})
-    with pytest.raises(ProtocolVerificationError):
-        resource_accounting(root, basis, "broken")
+    report = verify_protocol(root, basis, "broken")
+    assert not report.ok and report.ledger is None
 
 
 def _strip_one_attach(node):
@@ -312,7 +310,7 @@ def _strip_one_attach(node):
 @pytest.mark.parametrize("name", ["prop6", "prop7", "prop8", "remark2"])
 def test_ledger_monotone_under_attach_removal(name):
     proto = get_protocol(name)
-    base = resource_accounting(proto.root, proto.basis(), name)
+    base = verify_protocol(proto.root, proto.basis(), name).ledger
     base_total = base.total_ebits + base.ghz_distribution_bound_ebits
     for stripped in _strip_one_attach(proto.root):
         report = verify_protocol(stripped, proto.basis(), name + "-stripped")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnpb import pdl
 from gnpb.engine import materialize
@@ -101,6 +103,10 @@ def test_parsed_protocol_verifies():
      "outcomes { E -> fail }", "non-exhaustive"),
     ("parties { A:3 }\nbasis b\nmeasure by A { E = P[A:{(0+0)/sqrt2}] } "
      "outcomes { E -> fail }", "distinct levels"),
+    # str.isdigit holds for "²", but int() reads only decimal digits
+    ("parties { A:² }\nbasis b\nfail", "expected dimension, found '²'"),
+    ("parties { A:3 }\nbasis b\nmeasure by A { E = P[A:{²}] } outcomes { E -> fail }",
+     "expected a ket, found '²'"),
 ])
 def test_parse_errors_carry_position(broken, message):
     with pytest.raises(pdl.PdlError) as err:
@@ -177,6 +183,13 @@ LEX_CASES = {
          ("RPAREN", ")", 1, 24), ("SLASH", "/", 1, 25), ("ATOM", "sqrt2", 1, 26),
          ("RBRACK", "]", 1, 31), ("EQUALS", "=", 1, 32), ("ATOM", "rest", 1, 33),
          ("EOF", "", 1, 37)]),
+    # pinned under the scanner's own rule: a sign stays inside a word only
+    # between an e or E and a decimal digit, in a word that starts with a
+    # decimal digit, and ``float`` takes no other digit ("²".isdigit() holds)
+    "non-decimal-digit": (
+        "²e-1",
+        [("ATOM", "²e", 1, 1), ("MINUS", "-", 1, 3), ("ATOM", "1", 1, 4),
+         ("EOF", "", 1, 5)]),
     "at-error": ("parties { A:2 }\n  basis @x", ("unexpected character '@'", 2, 9)),
     "dollar-error": ("measure\r\n\t by $", ("unexpected character '$'", 2, 6)),
 }
@@ -198,3 +211,29 @@ def test_lexer_edge_cases(case):
         _tokens(text)
     assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}",
                                                                line, col)
+
+
+_BETWEEN_TOKENS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from(list("09eE+-._xP{}[]():,=/># \t\r\n²é$")), max_size=30))
+def test_lexer_positions_point_at_their_tokens(text):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+
+    def offset(line, col):
+        return line_starts[line - 1] + col - 1
+
+    try:
+        kinds, texts = pdl._lex(text)
+    except pdl.PdlError as err:
+        assert str(err).endswith(f"unexpected character {text[offset(err.line, err.col)]!r}")
+        return
+    end = 0
+    for i, token in enumerate(texts):
+        start = offset(*pdl._position(text, i))
+        assert text.startswith(token, start)
+        assert _BETWEEN_TOKENS.fullmatch(text, end, start)
+        end = start + len(token)
+    # past EOF lies at most a comment on the last line
+    assert kinds[-1] == "EOF" and _BETWEEN_TOKENS.fullmatch(text, end)

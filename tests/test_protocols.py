@@ -35,7 +35,7 @@ def test_protocol_passes_on_its_basis(name):
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))
 def test_ledger_matches_declared(name):
     proto = get_protocol(name)
-    ledger = proto.ledger()
+    ledger = proto.verify().ledger
     for kind, endpoints, expected in proto.declared:
         assert ledger.expected(kind, endpoints) == pytest.approx(expected, abs=1e-9), \
             (kind, endpoints)
@@ -45,25 +45,25 @@ def test_ledger_matches_declared(name):
 
 def test_prop5_ledger_value():
     for name in ("prop5_II33", "prop5_IIb33"):
-        ledger = get_protocol(name).ledger()
+        ledger = get_protocol(name).verify().ledger
         assert ledger.total_ebits == pytest.approx(1.0 + log2(3), abs=1e-9)
         assert ledger.total_ebits < ledger.baseline_ebits
 
 
 def test_prop6_ledger_two_ebits():
-    ledger = get_protocol("prop6").ledger()
+    ledger = get_protocol("prop6").verify().ledger
     assert ledger.total_ebits == pytest.approx(2.0, abs=1e-12)
     assert ledger.total_ebits < 2 * log2(3)
 
 
 def test_prop7_ledger_average():
-    ledger = get_protocol("prop7").ledger()
+    ledger = get_protocol("prop7").verify().ledger
     assert ledger.expected("EPR", ("B", "C")) == pytest.approx(8 / 27, abs=1e-9)
     assert ledger.total_ebits == pytest.approx(2 + 8 / 27, abs=1e-9)
 
 
 def test_prop8_ledger_ghz_plus_eighth():
-    ledger = get_protocol("prop8").ledger()
+    ledger = get_protocol("prop8").verify().ledger
     assert ledger.ghz_count == pytest.approx(1.0, abs=1e-12)
     assert ledger.expected("EPR", ("B", "C")) == pytest.approx(1 / 8, abs=1e-9)
     assert ledger.total_ebits == pytest.approx(1 / 8, abs=1e-12)
@@ -74,7 +74,7 @@ def test_prop8_ledger_ghz_plus_eighth():
 
 
 def test_remark2_ledger_eleven_sixteenths():
-    ledger = get_protocol("remark2").ledger()
+    ledger = get_protocol("remark2").verify().ledger
     assert ledger.expected("EPR", ("A", "B")) == pytest.approx(1.0, abs=1e-12)
     assert ledger.expected("EPR", ("B", "C")) == pytest.approx(11 / 16, abs=1e-9)
 
@@ -82,13 +82,13 @@ def test_remark2_ledger_eleven_sixteenths():
 def test_ghz_protocol_cheaper_than_bipartite_variant():
     """The conditional consumption of the three-party resource protocol is
     below the 11/16 of the two-EPR variant."""
-    assert get_protocol("prop8").ledger().expected("EPR", ("B", "C")) \
-        < get_protocol("remark2").ledger().expected("EPR", ("B", "C"))
+    assert get_protocol("prop8").verify().ledger.expected("EPR", ("B", "C")) \
+        < get_protocol("remark2").verify().ledger.expected("EPR", ("B", "C"))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))
 def test_total_below_teleportation_baseline(name):
-    ledger = get_protocol(name).ledger()
+    ledger = get_protocol(name).verify().ledger
     effective = ledger.total_ebits + ledger.ghz_distribution_bound_ebits
     assert effective < ledger.baseline_ebits
 
@@ -291,7 +291,7 @@ def test_shift_subprotocol_every_endpoint_pair():
             else get_protocol("shift_CA")
         report = proto.verify()
         assert report.ok
-        assert proto.ledger().expected("EPR", pair) == pytest.approx(1.0)
+        assert proto.verify().ledger.expected("EPR", pair) == pytest.approx(1.0)
 
 
 def test_shift_without_epr_is_stuck():
