@@ -19,6 +19,10 @@ import numpy as np
 
 from .tree import TOL
 
+# How far a post-state of :func:`born` may miss unit norm before it is
+# rescaled by its own norm; rounding leaves well-conditioned ones within 1e-14.
+_POST_SLACK = 1e-13
+
 #: Looser cutoff used for rank decisions and orthogonality-preservation
 #: checks, relative to unit-normalized vectors.
 RANK_TOL = 1e-8
@@ -203,10 +207,11 @@ def born(space, acted, matrices, stack, cols, memo, tol):
     are scattered into an ``(n, d, R')`` block over the R' rest indices they
     use, ascending.  Probabilities are ``tr(M_e rho_c)`` with ``rho_c`` the
     reduced state of the acted registers; only the (effect, state) pairs
-    above ``tol`` are projected.  Each effect's post-states come when the
-    caller reaches them, as ``(values, cols)``: a ``(k, C')`` stack whose
-    columns run acted index first, then rest index, with all-zero columns
-    dropped, and their flat indices in ``space``.  ``memo`` keeps the
+    above ``tol`` are projected, and scaled to unit norm.  Each effect's
+    post-states come when the caller reaches them, as ``(values, cols)``: a
+    ``(k, C')`` stack whose columns run acted index first, then rest index,
+    with all-zero columns dropped, and their flat indices in ``space``.
+    ``memo`` keeps the
     :func:`group_index` tables and their inverses.  The dtype follows the
     inputs: real effects on real states stay real.
     """
@@ -229,6 +234,14 @@ def born(space, acted, matrices, stack, cols, memo, tol):
         for m, row, idx in zip(mats, probs, survivors):
             projected = m @ block[idx]                         # (k, d, R')
             projected /= np.sqrt(row[idx])[:, None, None]
+            # tr(M_e rho_c) carries rounding that the division magnifies by
+            # 1/probability: a row that misses unit norm by more than
+            # _POST_SLACK is rescaled by its own norm (one that rounds to
+            # zero stays zero); every other row keeps the Born scale's bits
+            norms = np.linalg.norm(projected, axis=(1, 2))
+            off = (np.abs(norms - 1.0) > _POST_SLACK) & (norms > 0)
+            if off.any():
+                projected[off] /= norms[off, None, None]
             nonzero = projected.any(axis=0)
             yield projected[:, nonzero], flat[nonzero]
 
