@@ -243,10 +243,12 @@ def find_eliminating_opm(basis, group):
     labels = np.array(basis.labels, dtype=object)
     d = space.local_dim
 
-    coeffs = np.random.default_rng(0).normal(size=(20, space.dim))
-    candidates = np.concatenate(
-        [space.basis_matrices, np.tensordot(coeffs, space.basis_matrices, axes=1)])
-    for h in candidates:
+    def candidates():  # the seeded draw (and numpy.random) only when no basis matrix eliminates
+        yield from space.basis_matrices
+        coeffs = np.random.default_rng(0).normal(size=(20, space.dim))
+        yield from np.tensordot(coeffs, space.basis_matrices, axes=1)
+
+    for h in candidates():
         h0 = h - (np.trace(h).real / d) * np.eye(d)
         if np.max(np.abs(h0)) < RANK_TOL:
             continue

@@ -1,5 +1,8 @@
 """Each command loads only the gnpb modules it runs, and none loads ``numpy.ma``,
 whose first import alone takes tens of ms (checked in a fresh process).
+``verify``, ``account`` and ``classify`` load no ``numpy.random`` either, which
+adds about 6 MB of RSS and 11-13 ms: the witness search draws its random
+candidates only when no solution-space basis matrix eliminates a state.
 ``list``, ``--help``, usage errors, ``.pdl`` parse errors and the ``.pdl``
 round trip load no numpy at all."""
 
@@ -12,12 +15,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs ``code`` with argv, then prints the gnpb modules, numpy and numpy.ma if loaded
+# runs ``code`` with argv, then prints the gnpb modules, numpy, numpy.ma and numpy.random
+# if loaded
 PROBE = """
 import contextlib, io, json, sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("gnpb", "numpy", "numpy.ma") or m.startswith("gnpb."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("gnpb.")
+                        or m in ("gnpb", "numpy", "numpy.ma", "numpy.random"))))
 """
 # the CLI with argv, which must exit with the code filled in
 CLI = """
@@ -32,7 +36,8 @@ assert code == {exit}, code
 
 
 def loaded(code, *argv):
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(code=code), *argv], cwd=ROOT,
+    # -B: a test run writes no bytecode into src/, which later timings would read
+    proc = subprocess.run([sys.executable, "-B", "-c", PROBE.format(code=code), *argv], cwd=ROOT,
                           env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True,
                           text=True, timeout=120, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -50,16 +55,22 @@ def test_package_names_still_import():
     assert {"gnpb.opm", "gnpb.engine", "gnpb.qstate"} <= loaded(code)
 
 
+NO_NUMPY_EXTRAS = {"numpy.ma", "numpy.random"}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (("verify", "protocols/prop7.pdl"), {"gnpb.opm", "gnpb.protocols", "numpy.ma"}),
-    (("account", "protocols/remark2.pdl"), {"gnpb.opm", "gnpb.protocols", "numpy.ma"}),
-    (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl", "numpy.ma"}),
-    (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
+    (("verify", "protocols/prop7.pdl"), {"gnpb.opm", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
+    (("account", "protocols/remark2.pdl"), {"gnpb.opm", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
+    (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl", *NO_NUMPY_EXTRAS}),
+    (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
     (("check-basis", "shift_222"), {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols"}),
     (("tiles", "B_II_33", "--cut", "AB|C"),
      {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
     (("--json", "classify", "shift_222"),
-     {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", "numpy.ma"}),
+     {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
+    # witnesses found by a basis matrix: Type I on A, Type IIa on A+B
+    (("classify", "B_I_43"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
+    (("classify", "B_II_43"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
     modules = loaded(CLI.format(exit=0), *argv)

@@ -527,3 +527,85 @@ def test_witnesses_are_valid_eliminating_measurements():
             assert sorted(eliminated + survivors) == sorted(labels)
         assert np.max(np.abs(sum(witness.effects) - np.eye(space.local_dim))) < 1e-9
         assert any(witness.eliminated)
+
+
+def _eager_find_eliminating_opm(basis, group):
+    """The witness search as it was before the draw became lazy: all 20
+    seeded random combinations are drawn up front, after the basis matrices."""
+    space = opm_solution_space(basis, group)
+    if not space.nontrivial:
+        return None
+    labels = np.array(basis.labels, dtype=object)
+    d = space.local_dim
+    coeffs = np.random.default_rng(0).normal(size=(20, space.dim))
+    candidates = np.concatenate(
+        [space.basis_matrices, np.tensordot(coeffs, space.basis_matrices, axes=1)])
+    for h in candidates:
+        h0 = h - (np.trace(h).real / d) * np.eye(d)
+        if np.max(np.abs(h0)) < RANK_TOL:
+            continue
+        projectors = opm._eigen_projectors(h0)
+        if len(projectors) < 2:
+            continue
+        for effects in opm._groupings(projectors):
+            effects = np.array(effects)
+            if not space.satisfies(effects):
+                continue
+            if np.max(np.abs(effects.sum(0) - np.eye(d))) > RANK_TOL:
+                continue
+            killed = np.linalg.norm(space.factors @ effects.transpose(0, 2, 1), axis=2) < RANK_TOL
+            if killed.any():
+                return opm.EliminatingOpm(
+                    group=tuple(group),
+                    effects=tuple(effects),
+                    eliminated=tuple(tuple(labels[k]) for k in killed),
+                    survivors=tuple(tuple(labels[~k]) for k in killed),
+                )
+    return None
+
+
+def _assert_same_witness(got, want):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got.group == want.group
+    assert len(got.effects) == len(want.effects)
+    assert all(np.array_equal(g, w) for g, w in zip(got.effects, want.effects))
+    assert got.eliminated == want.eliminated
+    assert got.survivors == want.survivors
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_lazy_witness_search_matches_the_eager_one(name, seed):
+    basis = get_basis(name)
+    if seed is not None:
+        basis = _rotated(basis, _haar_unitary, np.random.default_rng(seed))
+    for group in GROUPS_222:
+        _assert_same_witness(find_eliminating_opm(basis, group),
+                             _eager_find_eliminating_opm(basis, group))
+
+
+@pytest.mark.parametrize("name, group", [("B_I_43", ("A",)), ("B_II_43", ("A", "B")),
+                                         ("shift_222", ("A", "B"))])
+def test_random_candidates_match_the_eager_search(name, group, monkeypatch):
+    """No basis matrix yields two projectors, so the seeded draw must run and
+    give the eager search's witness."""
+    basis, real = get_basis(name), opm._eigen_projectors
+    dim = opm_solution_space(basis, group).dim
+
+    def search(find):
+        calls = []
+
+        def projectors(h):
+            calls.append(h)
+            return [np.eye(len(h))] if len(calls) <= dim else real(h)
+
+        monkeypatch.setattr(opm, "_eigen_projectors", projectors)
+        found = find(basis, group)
+        assert len(calls) > dim  # at least one random candidate was tried
+        return found
+
+    got = search(find_eliminating_opm)
+    assert got is not None
+    _assert_same_witness(got, search(_eager_find_eliminating_opm))
