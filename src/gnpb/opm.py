@@ -12,7 +12,9 @@ by where elimination is possible.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,13 +59,15 @@ class HermitianSolutionSpace:
 
     group: tuple
     local_dim: int
-    basis_matrices: np.ndarray  # (dim, d, d), orthonormal in opm_solution_space's coordinates
+    dim: int
     factors: np.ndarray         # (n_states, d): per-state group factor a_i
     pairs: tuple                # index arrays (i, j) of the constrained pairs
+    build: Callable             # () -> basis_matrices, called on their first read
 
-    @property
-    def dim(self):
-        return len(self.basis_matrices)
+    @cached_property
+    def basis_matrices(self):
+        """``(dim, d, d)``, orthonormal in opm_solution_space's coordinates."""
+        return self.build()
 
     @property
     def nontrivial(self):
@@ -78,23 +82,29 @@ class HermitianSolutionSpace:
         return bool(np.all(np.abs(vals) < RANK_TOL))
 
 
+def _nodes(d):
+    """``k, l`` of the entries above the diagonal, and per node n, the
+    diagonal first, its entry {rk[n], cl[n]} and its first coordinate."""
+    r = np.arange(d)
+    k, l = (r[:, None] < r).nonzero()
+    return k, l, np.concatenate([r, k]), np.concatenate([r, l]), np.r_[r, d:d * d:2]
+
+
 def opm_solution_space(basis, group):
     """Solve the OPM constraint system for one party group.
 
-    Returns a basis of the real solution space, orthonormal in the real
-    coordinates of a Hermitian E: the diagonal, then per k < l the real and
-    minus the imaginary part of E[k, l].  A pair constrains only the entries
-    {k, l} (nodes) where its factors are nonzero; the nodes that share pairs
-    form independent blocks, each solved by the SVD of its QR factor R.
+    The real coordinates of a Hermitian E are the diagonal, then per k < l
+    the real and minus the imaginary part of E[k, l].  A pair constrains
+    only the entries {k, l} (nodes) where its factors are nonzero; the nodes
+    that share pairs form independent blocks, each solved by the singular
+    values of its QR factor R.  Real factors put the symmetric and the
+    antisymmetric coordinates in separate rows and so in separate blocks.
+    ``basis_matrices`` are built from the kept R on their first read.
     """
     group = tuple(group)
     (i, j), factors = constrained_pairs(basis, group)
     d = factors.shape[1]  # from the party dims, so also with no states
-    r = np.arange(d)
-    k, l = (r[:, None] < r).nonzero()
-    rk, cl = np.concatenate([r, k]), np.concatenate([r, l])  # node n is {rk[n], cl[n]}
-    first = np.concatenate([r, np.arange(d, d * d, 2)])  # a node's first coordinate
-    width = 1 + (first >= d)
+    _, _, rk, cl, first = _nodes(d)
     # edges (pair, node) on the exact zero pattern: <a_i|E|a_j> has the
     # terms conj(a_i[k]) a_j[l] E[k, l] + conj(a_i[l]) a_j[k] E[l, k]; per
     # state, the nodes its k and its l levels reach, packed to bits
@@ -102,77 +112,106 @@ def opm_solution_space(basis, group):
     a, b = np.packbits(nz[:, rk], axis=1), np.packbits(nz[:, cl], axis=1)
     touched = np.unpackbits(a[i] & b[j] | b[i] & a[j], axis=1, count=len(rk)).view(bool)
     ep, en = np.divmod(touched.ravel().nonzero()[0], len(rk))
-    # label propagation: every node and pair ends with its block's smallest node
-    label = np.arange(len(rk))
+    f, fi, fj, off = factors.ravel(), i[ep] * d, j[ep] * d, en >= d
+    x = f[fi + rk[en]].conj() * f[fj + cl[en]]
+    y = f[fi + cl[en]].conj() * f[fj + rk[en]] * off  # 0 on the diagonal, where y = x
+    s, c0, c1, x, y = x + y, first[en], first[en[off]] + 1, x[off], y[off]
+    if np.iscomplexobj(factors):
+        # a unit is a node and an equation a pair's re and im rows; cells
+        # (edges, row offset, column offset, value) place an edge's entries
+        # in its block: the diagonal has x, sym x + y and anti i (y - x)
+        width, height, eq, unit, col, n_eq = 1 + (first >= d), 2, ep, en, c0, len(i)
+        cells = ((slice(None), 0, 0, s.real), (slice(None), 1, 0, s.imag),
+                 (off, 0, 1, x.imag - y.imag), (off, 1, 1, y.real - x.real))
+    else:
+        # every coordinate is a unit and every row an equation; a row with no edge drops out
+        width, height, unit = np.ones(d * d, int), 1, np.concatenate([c0, c1])
+        eq = np.concatenate([2 * ep, 2 * ep[off] + 1])
+        number = np.concatenate([[0], np.bincount(eq, minlength=2 * len(i)) > 0]).cumsum()
+        eq, col, n_eq = number[eq], unit, number[-1]
+        cells = ((slice(None), 0, 0, np.concatenate([s, y - x])),)
+    n_units = len(width)
+    # label propagation: every unit and equation ends with its block's smallest unit
+    label = np.arange(n_units)
     while True:
-        plabel = np.full(len(i), len(rk) - 1)
-        np.minimum.at(plabel, ep, label[en])
+        plabel = np.full(n_eq, n_units - 1)
+        np.minimum.at(plabel, eq, label[unit])
         low = label.copy()
-        np.minimum.at(low, en, plabel[ep])
+        np.minimum.at(low, unit, plabel[eq])
         low = low[low]  # a label's own label lies in the same block and is no larger
         if (low == label).all():
             break
         label = low
-    plabel = label[plabel]  # a pair with no edge (a zero factor) adds zero rows
-    # number the blocks by shape, free nodes (no pairs) first, so that one
-    # stacked QR and SVD solves all blocks of a shape
-    cols = np.bincount(label.repeat(width), minlength=len(rk))
-    npairs = np.bincount(plabel, minlength=len(rk))
-    shape = npairs * (d * d + 1) + cols  # 0 for a node that is not its block's smallest
+    plabel = label[plabel]
+    # number the blocks by shape, free units (no equations) first, so that
+    # one stacked QR and SVD solves all blocks of a shape
+    cols = np.bincount(label.repeat(width), minlength=n_units)
+    neq = np.bincount(plabel, minlength=n_units)
+    shape = neq * (d * d + 1) + cols  # 0 for a unit that is not its block's smallest
     by_shape = shape.argsort(kind="stable")[(shape == 0).sum():]
-    number = np.empty(len(rk), int)
-    number[by_shape] = np.arange(len(by_shape))
-    comp, pcomp = number[label], number[plabel]
-    shape, cols, npairs = shape[by_shape], cols[by_shape], npairs[by_shape]
+    block = np.empty(n_units, int)
+    block[by_shape] = np.arange(len(by_shape))
+    comp, pcomp = block[label], block[plabel]
+    shape, cols, neq = shape[by_shape], cols[by_shape], neq[by_shape]
     # a block's columns ascend in coordinate order, its rows in pair order
-    # with re and im interleaved: the nullspace basis the SVD returns, and
-    # so the witness found, depends on this order
+    # (re then im, when a pair is one equation): the nullspace basis the SVD
+    # returns, and so the witness found, depends on this order
     perm = comp.repeat(width).argsort(kind="stable")
-    col0, size = cols.cumsum() - cols, 2 * npairs * cols
+    col0, size = cols.cumsum() - cols, height * neq * cols
     local = (np.arange(d * d) - col0.repeat(cols))[perm.argsort()]
-    # a block's rows, re then im of each pair, lie one after another in flat,
-    # so the blocks of one shape form one contiguous stack
+    # a block's rows lie one after another in flat, so the blocks of one
+    # shape form one contiguous stack
     start = size.cumsum() - size
-    pos = np.empty(len(pcomp), int)  # a pair's place when pairs are sorted by block
-    pos[pcomp.argsort(kind="stable")] = np.arange(len(pcomp))
-    w = cols[pcomp]  # the width of a pair's rows
-    row = start[pcomp] + 2 * w * (pos - (npairs.cumsum() - npairs)[pcomp])
+    pos = np.empty(n_eq, int)  # an equation's place when equations are sorted by block
+    pos[pcomp.argsort(kind="stable")] = np.arange(n_eq)
+    w = cols[pcomp]  # the width of an equation's rows
+    row = start[pcomp] + height * w * (pos - (neq.cumsum() - neq)[pcomp])
     flat = np.zeros(size.sum())
-    f, fi, fj, off = factors.ravel(), i[ep] * d, j[ep] * d, en >= d
-    x = f[fi + rk[en]].conj() * f[fj + cl[en]]
-    y = f[fi + cl[en]].conj() * f[fj + rk[en]] * off  # 0 on the diagonal, where y = x
-    at, s, w = row[ep] + local[first[en]], x + y, w[ep]
-    flat[at], flat[at + w] = s.real, s.imag  # diagonal: x; sym: x + y
-    at, x, y, w = at[off] + 1, x[off], y[off], w[off]
-    flat[at], flat[at + w] = x.imag - y.imag, y.real - x.real  # anti: i (y - x)
+    at, w = row[eq] + local[col], w[eq]
+    for sel, dr, dc, v in cells:
+        flat[at[sel] + dr * w[sel] + dc] = v
     flat += 0.0  # no -0.0: one block is then the dense system's rows bit for bit
-    solved, top = [], 0.0
+    free = perm[:cols[neq == 0].sum()]
+    solved, top, dim = [], 0.0, len(free)
     bounds = [0] + ((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist() + [len(shape)]
     for b0, b1 in zip(bounds, bounds[1:]):
-        n, c, rows = b1 - b0, cols[b0], 2 * npairs[b0]
+        n, c, rows = b1 - b0, cols[b0], height * neq[b0]
         if rows:
             stack = flat[start[b0]:start[b0] + n * rows * c].reshape(n, rows, c)
             # R keeps the rows' singular values and row space, not rows x rows
-            svals, vt = np.linalg.svd(np.linalg.qr(stack, mode="r"))[1:]
+            r = np.linalg.qr(stack, mode="r")
+            svals = np.linalg.svd(r, compute_uv=False)
             top = max(top, svals[:, 0].max())
-            solved.append((svals, vt, perm[col0[b0]:col0[b0] + n * c].reshape(n, c)))
-    null = [np.eye(d * d, dtype=bool)[perm[:cols[npairs == 0].sum()]]]  # free nodes
-    for svals, vt, where in solved:
+            solved.append((r, svals, perm[col0[b0]:col0[b0] + n * c].reshape(n, c)))
+    kept = []
+    for r, svals, where in solved:
         # the whole system's singular values are the union of the blocks'
         rank = (svals > RANK_TOL * top).sum(1)
-        if rank.min() == vt.shape[1]:
-            continue  # no block of this shape has a nullspace
+        if rank.min() < r.shape[2]:  # some block of this shape has a nullspace
+            kept.append((r, rank, where))
+            dim += (r.shape[2] - rank).sum()
+    return HermitianSolutionSpace(
+        group=group, local_dim=d, dim=int(dim), factors=factors, pairs=(i, j),
+        build=partial(_basis_matrices, d, free, kept))
+
+
+def _basis_matrices(d, free, kept):
+    """The solution space's basis: the free coordinates' units, then per
+    kept stack the right singular vectors past each block's rank."""
+    null = [np.eye(d * d, dtype=bool)[free]]
+    for r, rank, where in kept:
+        vt = np.linalg.svd(r)[2]
         keep = np.arange(vt.shape[1]) >= rank[:, None]
         part = np.zeros((keep.sum(), d * d))
         part[np.arange(len(part))[:, None], where.repeat(keep.sum(1), axis=0)] = vt[keep]
         null.append(part)
     null = np.concatenate(null) + 0.0  # likewise no -0.0
+    k, l, rk, cl, first = _nodes(d)
     mats = np.zeros((len(null), d, d), dtype=complex)
     mats.real[:, rk, cl] = mats.real[:, cl, rk] = null[:, first]
     mats.imag[:, l, k] = null[:, first[d:] + 1]
     mats.imag[:, k, l] = 0.0 - mats.imag[:, l, k]
-    return HermitianSolutionSpace(group=group, local_dim=d, basis_matrices=mats,
-                                  factors=factors, pairs=(i, j))
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Solution spaces, eliminating measurements, classification, and the
 brute-force oracle for the nullspace solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnpb import opm
-from gnpb.bases import OrthoProductBasis, ProductState, get_basis
+from gnpb.bases import BUILTIN_BASES, OrthoProductBasis, ProductState, get_basis
 from gnpb.opm import (
     HermitianSolutionSpace,
     classify,
@@ -390,8 +392,8 @@ def dense_solution_space(basis, group):
         null_rows = vt[int(np.sum(svals > RANK_TOL * svals[0])):]
     else:
         null_rows = np.eye(d * d)
-    return HermitianSolutionSpace(group, d, (null_rows @ h_flat).reshape(-1, d, d),
-                                  factors, (i, j))
+    mats = (null_rows @ h_flat).reshape(-1, d, d)
+    return HermitianSolutionSpace(group, d, len(mats), factors, (i, j), lambda: mats)
 
 
 def _coordinates(mats):
@@ -445,7 +447,9 @@ def _with_trivial_party(rng):
 
 def _check_against_dense(basis, group):
     space, dense = opm_solution_space(basis, group), dense_solution_space(basis, group)
-    assert space.dim == dense.dim
+    dim = space.dim
+    assert "basis_matrices" not in vars(space)  # the dims come without them
+    assert len(space.basis_matrices) == dim == space.dim == dense.dim
     got, want = _coordinates(space.basis_matrices), _coordinates(dense.basis_matrices)
     # orthonormal in the coordinates (not in Hilbert-Schmidt: an
     # off-diagonal coordinate unit has Hilbert-Schmidt norm sqrt 2)
@@ -467,6 +471,76 @@ def test_blocks_match_dense_solve_under_local_unitaries(name, unitary, seed):
     # local unitaries keep every dimension
     assert tuple(_check_against_dense(basis, (p,)).dim for p in "ABC") == single
     assert tuple(_check_against_dense(basis, g).dim for g in MERGED) == merged
+
+
+def _as_complex(basis):
+    """The same basis with complex128 factors: the solver's complex path."""
+    return OrthoProductBasis(basis.name, basis.parties, [
+        ProductState(st.label, tuple(np.asarray(f, dtype=complex) for f in st.factors))
+        for st in basis.states])
+
+
+VARIANTS = {
+    "plain": lambda basis: basis,
+    "sparse": lambda basis: _rotated(basis, _sparse_unitary, np.random.default_rng(4)),
+    "haar": lambda basis: _rotated(basis, _haar_unitary, np.random.default_rng(4)),
+    "complex128": _as_complex,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_dims_need_no_basis_matrices(name, variant):
+    basis = VARIANTS[variant](get_basis(name))
+    assert np.iscomplexobj(basis.factor_arrays()[0]) is (variant != "plain")
+    single, merged, _ = CLASSIFIED[name]
+    assert tuple(_check_against_dense(basis, (p,)).dim for p in "ABC") == single
+    assert tuple(_check_against_dense(basis, g).dim for g in MERGED) == merged
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_classify_builds_the_basis_matrices_of_its_witness_only(name, monkeypatch):
+    builds, build = [], opm._basis_matrices
+    monkeypatch.setattr(opm, "_basis_matrices", lambda *args: builds.append(args) or build(*args))
+    cert = classify(get_basis(name))
+    assert (cert.witness and cert.witness.group) == CLASSIFIED[name][2]
+    assert len(builds) == (cert.verdict != "TypeIIb")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_BASES))
+def test_real_factors_solve_as_the_complex_ones(name):
+    """Real factors split each block into its symmetric and antisymmetric
+    halves; the space they solve is the complex path's."""
+    real = get_basis(name)
+    parties = [p for p, _ in real.parties]
+    assert not any(np.iscomplexobj(f) for f in real.factor_arrays())
+    cplx = _as_complex(real)
+    for group in [(p,) for p in parties] + list(itertools.combinations(parties, 2)):
+        a, b = opm_solution_space(real, group), opm_solution_space(cplx, group)
+        assert a.dim == b.dim
+        pa, pb = _coordinates(a.basis_matrices), _coordinates(b.basis_matrices)
+        assert np.max(np.abs(pa.T @ pa - pb.T @ pb)) < 1e-9
+    if len(parties) == 3:
+        x, y = classify(real), classify(cplx)
+        assert (x.verdict, x.single_dims, x.merged_dims) == (y.verdict, y.single_dims,
+                                                              y.merged_dims)
+        assert (x.witness and x.witness.group) == (y.witness and y.witness.group)
+        if x.witness:
+            assert sorted(x.witness.survivors) == sorted(y.witness.survivors)
+
+
+def test_an_exactly_cancelling_symmetric_coefficient():
+    """|+> and |-> on A: the pair's symmetric coefficient a_i[0] a_j[1] +
+    a_i[1] a_j[0] is exactly 0, so sigma_x stays free while the pair still
+    ties the diagonal and the antisymmetric coordinate."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    e = np.eye(2)
+    basis = OrthoProductBasis("cancel", [("A", 2), ("B", 2)], [
+        ProductState(f"{s}{b}", (h[:, s], e[b])) for s in range(2) for b in range(2)])
+    a, b = (_check_against_dense(basis, (p,)) for p in "AB")
+    assert (a.dim, b.dim) == (2, 2)
+    assert a.satisfies(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not a.satisfies(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
