@@ -8,45 +8,15 @@ recomputes it from the amplitudes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 import numpy as np
 
 from .qstate import RANK_TOL, CompositeSpace, Ket, Subsystem, kron_rows, pairwise_max_overlap
 from .tree import RESOURCE_KINDS, TOL, KetExpr
-
-
-# ---------------------------------------------------------------------------
-# local ket catalog
-
-def comp(i, dim):
-    """Computational ket |i> in the given local dimension."""
-    return KetExpr(i).vector(dim)
-
-
-def eta(sign, dim=3):
-    """(|0> +- |1>)/sqrt2."""
-    return KetExpr(0, 1, sign).vector(dim)
-
-
-def xi(sign, dim=3):
-    """(|1> +- |2>)/sqrt2."""
-    return KetExpr(1, 2, sign).vector(dim)
-
-
-def kappa(sign, dim=3):
-    """(|0> +- |2>)/sqrt2."""
-    return KetExpr(0, 2, sign).vector(dim)
-
-
-def chi(sign, dim=4):
-    """(|2> +- |3>)/sqrt2."""
-    return KetExpr(2, 3, sign).vector(dim)
-
-
-_SIGN = {1: "p", -1: "m"}
-SIGNS = (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +28,6 @@ class ProductState:
 
     label: str
     factors: tuple
-
-    def joint(self):
-        amps = self.factors[0]
-        for f in self.factors[1:]:
-            amps = np.kron(amps, f)
-        return amps
 
 
 class OrthoProductBasis:
@@ -109,9 +73,6 @@ class OrthoProductBasis:
         """Composite space of the principal registers (one per party)."""
         return CompositeSpace(Subsystem(p, d, p) for p, d in self.parties)
 
-    def joint_ket(self, label):
-        return Ket(self.space(), self.state(label).joint())
-
     def factor_arrays(self):
         """Per party, in party order, the ``(n_states, d)`` array of its factors."""
         n = len(self.states)
@@ -145,8 +106,8 @@ class OrthoProductBasis:
         """Read a basis document; every factor comes back unit-normalized.
 
         Raises ValueError for a document that cannot hold a product basis:
-        a party name that is not a string, a party dim that is not a JSON
-        integer or is below 1, a repeated party name, a non-string or
+        no party, a party name that is not a string, a party dim that is not
+        a JSON integer or is below 1, a repeated party name, a non-string or
         repeated label, or a factor whose norm is zero or not finite (a
         NaN or Infinity amplitude, or one so large that the norm overflows).
         """
@@ -154,6 +115,8 @@ class OrthoProductBasis:
 
         doc = json.loads(text)
         parties = [(p["name"], p["dim"]) for p in doc["parties"]]
+        if not parties:
+            raise ValueError("the document names no party")
         for p, d in parties:
             if not isinstance(p, str):
                 raise ValueError(f"party name {p!r} is not a string")
@@ -228,149 +191,100 @@ def check_basis(basis):
 
 
 # ---------------------------------------------------------------------------
-# the two-qutrit nonlocal product basis (domino tiles)
+# the built-in bases, each state written as the names of its local factors
 
-def _bennett_states(dim=3):
-    """The nine 2-qutrit domino states, as (label, (factor, factor)) pairs."""
-    out = []
-    for s in SIGNS:
-        out.append((f"0e{_SIGN[s]}", (comp(0, dim), eta(s, dim))))
-    for s in SIGNS:
-        out.append((f"e{_SIGN[s]}2", (eta(s, dim), comp(2, dim))))
-    for s in SIGNS:
-        out.append((f"2x{_SIGN[s]}", (comp(2, dim), xi(s, dim))))
-    for s in SIGNS:
-        out.append((f"x{_SIGN[s]}0", (xi(s, dim), comp(0, dim))))
-    out.append(("11", (comp(1, dim), comp(1, dim))))
-    return out
+_TWISTS = {"e": (0, 1), "x": (1, 2), "k": (0, 2), "c": (2, 3)}
+
+
+def _ket(name, dim):
+    """Local factor named ``name``: a digit i is |i>, and e, x, k or c with p or
+    m is (|i> + |j>)/sqrt2 or (|i> - |j>)/sqrt2 on levels 01, 12, 02 or 23."""
+    if name.isdigit():
+        return KetExpr(int(name)).vector(dim)
+    i, j = _TWISTS[name[0]]
+    return KetExpr(i, j, 1 if name[1] == "p" else -1).vector(dim)
+
+
+def _built(name, dim, rows):
+    """Basis on parties A, B[, C] of one local dim from (label, factor names) rows."""
+    states = [ProductState(lbl, tuple(_ket(f, dim) for f in names)) for lbl, names in rows]
+    parties = [(p, dim) for p in "ABC"[:len(states[0].factors)]]
+    return OrthoProductBasis(name, parties, states)
+
+
+def _labelled(name, dim, labels):
+    """Basis whose labels spell their factors; an underscore only separates."""
+    return _built(name, dim, [(lbl, re.findall(r"\d|[a-z][pm]", lbl.replace("_", "")))
+                              for lbl in labels])
+
+
+def _families(name, patterns):
+    """Three-qutrit basis of sign families: the letters of a pattern take the
+    state's signs in order (``psi_1: "0 e x"`` gives ``psi_1_pm`` = |0>|e+>|x->),
+    followed by ``phi_k`` = |k>|k>|k>."""
+    rows = []
+    for fam, pattern in patterns.items():
+        parts = pattern.split()
+        for signs in product("pm", repeat=sum(not f.isdigit() for f in parts)):
+            sign = iter(signs)
+            rows.append((f"{fam}_{''.join(signs)}",
+                         [f if f.isdigit() else f + next(sign) for f in parts]))
+    rows += [(f"phi_{k}", [str(k)] * 3) for k in range(3)]
+    return _built(name, 3, rows)
+
+
+#: The nine two-qutrit domino states of Bennett et al.
+DOMINO = ("0ep", "0em", "ep2", "em2", "2xp", "2xm", "xp0", "xm0", "11")
+
+#: The 46 computational states that complete B_I(4,3).
+GRID_43 = tuple("""
+    303 313 323 330 331 332 333 200 201 202 210 211 212 220 221 222
+    230 231 232 233 000 001 002 010 011 012 020 021 022 030 031 032
+    033 100 101 102 110 111 112 120 121 122 130 131 132 133""".split())
 
 
 def bennett_npb_3x3():
     """The nine-state two-qutrit nonlocal product basis."""
-    states = [ProductState(lbl, fs) for lbl, fs in _bennett_states()]
-    return OrthoProductBasis("bennett_3x3", [("A", 3), ("B", 3)], states)
+    return _labelled("bennett_3x3", 3, DOMINO)
 
 
-# ---------------------------------------------------------------------------
-# three-ququad bases
-
-_R_TABLE = [
-    (3, 0, 3), (3, 1, 3), (3, 2, 3), (3, 3, 0),
-    (3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 0, 0),
-    (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 1),
-    (2, 1, 2), (2, 2, 0), (2, 2, 1), (2, 2, 2),
-    (2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, 3),
-    (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0),
-    (0, 1, 1), (0, 1, 2), (0, 2, 0), (0, 2, 1),
-    (0, 2, 2), (0, 3, 0), (0, 3, 1), (0, 3, 2),
-    (0, 3, 3), (1, 0, 0), (1, 0, 1), (1, 0, 2),
-    (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 0),
-    (1, 2, 1), (1, 2, 2), (1, 3, 0), (1, 3, 1),
-    (1, 3, 2), (1, 3, 3),
-]
-
-
-def _comp_label(triple):
-    return "".join(str(i) for i in triple)
+def _I_43_labels():
+    return [f"3_{d}" for d in DOMINO] + [f"{d}_3" for d in DOMINO] + list(GRID_43)
 
 
 def basis_I_43():
     """64-state three-ququad basis reducible by a local 3-vs-rest projection."""
-    states = []
-    for lbl, (f1, f2) in _bennett_states(4):
-        states.append(ProductState(f"3_{lbl}", (comp(3, 4), f1, f2)))
-    for lbl, (f1, f2) in _bennett_states(4):
-        states.append(ProductState(f"{lbl}_3", (f1, f2, comp(3, 4))))
-    for triple in _R_TABLE:
-        states.append(ProductState(_comp_label(triple), tuple(comp(i, 4) for i in triple)))
-    return OrthoProductBasis("B_I_43", [("A", 4), ("B", 4), ("C", 4)], states)
-
-
-#: Computational states swapped out when passing from B_I(4,3) to B_II(4,3).
-_II_43_REMOVED = ["032", "033", "222", "232", "231", "331"]
+    return _labelled("B_I_43", 4, _I_43_labels())
 
 
 def basis_II_43():
-    """64-state three-ququad basis made locally irreducible by extra twists."""
-    base = basis_I_43()
-    removed = set(_II_43_REMOVED)
-    missing = removed - set(base.labels)
-    if missing:
-        raise AssertionError(f"states to remove are absent: {sorted(missing)}")
-    states = [st for st in base.states if st.label not in removed]
-    for s in SIGNS:
-        states.append(ProductState(f"03c{_SIGN[s]}", (comp(0, 4), comp(3, 4), chi(s))))
-    for s in SIGNS:
-        states.append(ProductState(f"2c{_SIGN[s]}2", (comp(2, 4), chi(s), comp(2, 4))))
-    for s in SIGNS:
-        states.append(ProductState(f"c{_SIGN[s]}31", (chi(s), comp(3, 4), comp(1, 4))))
-    return OrthoProductBasis("B_II_43", [("A", 4), ("B", 4), ("C", 4)], states)
+    """64-state three-ququad basis made locally irreducible by extra twists:
+    six computational states of B_I(4,3) give way to three twisted pairs."""
+    removed = {"032", "033", "222", "232", "231", "331"}
+    labels = [lbl for lbl in _I_43_labels() if lbl not in removed]
+    return _labelled("B_II_43", 4, labels + ["03cp", "03cm", "2cp2", "2cm2", "cp31", "cm31"])
 
-
-# ---------------------------------------------------------------------------
-# three-qutrit bases
 
 def basis_II_33():
-    """27-state three-qutrit basis, irreducible with all parties separated.
-
-    ``psi_<family>_<st>`` carries two sign letters; the first refers to the
-    first twisted factor in reading order, the second to the second.
-    """
-    families = [
-        ("1", lambda s, t: (comp(0, 3), eta(s), xi(t))),
-        ("2", lambda s, t: (eta(s), comp(2, 3), xi(t))),
-        ("3", lambda s, t: (comp(2, 3), xi(s), eta(t))),
-        ("4", lambda s, t: (eta(s), xi(t), comp(0, 3))),
-        ("5", lambda s, t: (xi(s), comp(0, 3), eta(t))),
-        ("6", lambda s, t: (xi(s), eta(t), comp(2, 3))),
-    ]
-    states = []
-    for fam, build in families:
-        for s in SIGNS:
-            for t in SIGNS:
-                states.append(ProductState(f"psi_{fam}_{_SIGN[s]}{_SIGN[t]}", build(s, t)))
-    for k in range(3):
-        states.append(ProductState(f"phi_{k}", tuple(comp(k, 3) for _ in range(3))))
-    return OrthoProductBasis("B_II_33", [("A", 3), ("B", 3), ("C", 3)], states)
+    """27-state three-qutrit basis, irreducible with all parties separated."""
+    return _families("B_II_33", {
+        "psi_1": "0 e x", "psi_2": "e 2 x", "psi_3": "2 x e",
+        "psi_4": "e x 0", "psi_5": "x 0 e", "psi_6": "x e 2",
+    })
 
 
 def basis_IIb_33():
     """27-state three-qutrit basis irreducible even for merged party pairs."""
-    families = [
-        ("alpha_1", lambda s: (comp(0, 3), comp(1, 3), eta(s))),
-        ("alpha_2", lambda s: (comp(0, 3), comp(2, 3), kappa(s))),
-        ("alpha_3", lambda s: (comp(1, 3), comp(2, 3), eta(s))),
-        ("alpha_4", lambda s: (comp(2, 3), comp(1, 3), kappa(s))),
-        ("beta_1", lambda s: (comp(1, 3), eta(s), comp(0, 3))),
-        ("beta_2", lambda s: (comp(2, 3), kappa(s), comp(0, 3))),
-        ("beta_3", lambda s: (comp(2, 3), eta(s), comp(1, 3))),
-        ("beta_4", lambda s: (comp(1, 3), kappa(s), comp(2, 3))),
-        ("gamma_1", lambda s: (eta(s), comp(0, 3), comp(1, 3))),
-        ("gamma_2", lambda s: (kappa(s), comp(0, 3), comp(2, 3))),
-        ("gamma_3", lambda s: (eta(s), comp(1, 3), comp(2, 3))),
-        ("gamma_4", lambda s: (kappa(s), comp(2, 3), comp(1, 3))),
-    ]
-    states = []
-    for fam, build in families:
-        for s in SIGNS:
-            states.append(ProductState(f"{fam}_{_SIGN[s]}", build(s)))
-    for k in range(3):
-        states.append(ProductState(f"phi_{k}", tuple(comp(k, 3) for _ in range(3))))
-    return OrthoProductBasis("B_IIb_33", [("A", 3), ("B", 3), ("C", 3)], states)
+    return _families("B_IIb_33", {
+        "alpha_1": "0 1 e", "alpha_2": "0 2 k", "alpha_3": "1 2 e", "alpha_4": "2 1 k",
+        "beta_1": "1 e 0", "beta_2": "2 k 0", "beta_3": "2 e 1", "beta_4": "1 k 2",
+        "gamma_1": "e 0 1", "gamma_2": "k 0 2", "gamma_3": "e 1 2", "gamma_4": "k 2 1",
+    })
 
 
 def shift_upb_opb_222():
     """Eight-state completion of the shift unextendible product basis."""
-    states = []
-    for s in SIGNS:
-        states.append(ProductState(f"01e{_SIGN[s]}", (comp(0, 2), comp(1, 2), eta(s, 2))))
-    for s in SIGNS:
-        states.append(ProductState(f"1e{_SIGN[s]}0", (comp(1, 2), eta(s, 2), comp(0, 2))))
-    for s in SIGNS:
-        states.append(ProductState(f"e{_SIGN[s]}01", (eta(s, 2), comp(0, 2), comp(1, 2))))
-    states.append(ProductState("000", (comp(0, 2), comp(0, 2), comp(0, 2))))
-    states.append(ProductState("111", (comp(1, 2), comp(1, 2), comp(1, 2))))
-    return OrthoProductBasis("shift_222", [("A", 2), ("B", 2), ("C", 2)], states)
+    return _labelled("shift_222", 2, ("01ep", "01em", "1ep0", "1em0", "ep01", "em01", "000", "111"))
 
 
 BUILTIN_BASES = {

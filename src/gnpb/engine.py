@@ -215,18 +215,18 @@ def _split_recursive(idxs, labels, close, party_order):
     for p in party_order:
         adj = close[p]
         # connected components of the local overlap graph
-        comp = {i: i for i in idxs}
+        parent = {i: i for i in idxs}
 
         def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
             return x
 
         for a, i in enumerate(idxs):
             for j in idxs[a + 1:]:
                 if adj[i][j]:
-                    comp[find(i)] = find(j)
+                    parent[find(i)] = find(j)
         groups: dict[int, list[int]] = {}
         for i in idxs:
             groups.setdefault(find(i), []).append(i)

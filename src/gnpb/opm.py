@@ -151,21 +151,21 @@ def opm_solution_space(basis, group):
     by_shape = shape.argsort(kind="stable")[(shape == 0).sum():]
     block = np.empty(n_units, int)
     block[by_shape] = np.arange(len(by_shape))
-    comp, pcomp = block[label], block[plabel]
+    unit_block, eq_block = block[label], block[plabel]
     shape, cols, neq = shape[by_shape], cols[by_shape], neq[by_shape]
     # a block's columns ascend in coordinate order, its rows in pair order
     # (re then im, when a pair is one equation): the nullspace basis the SVD
     # returns, and so the witness found, depends on this order
-    perm = comp.repeat(width).argsort(kind="stable")
+    perm = unit_block.repeat(width).argsort(kind="stable")
     col0, size = cols.cumsum() - cols, height * neq * cols
     local = (np.arange(d * d) - col0.repeat(cols))[perm.argsort()]
     # a block's rows lie one after another in flat, so the blocks of one
     # shape form one contiguous stack
     start = size.cumsum() - size
     pos = np.empty(n_eq, int)  # an equation's place when equations are sorted by block
-    pos[pcomp.argsort(kind="stable")] = np.arange(n_eq)
-    w = cols[pcomp]  # the width of an equation's rows
-    row = start[pcomp] + height * w * (pos - (neq.cumsum() - neq)[pcomp])
+    pos[eq_block.argsort(kind="stable")] = np.arange(n_eq)
+    w = cols[eq_block]  # the width of an equation's rows
+    row = start[eq_block] + height * w * (pos - (neq.cumsum() - neq)[eq_block])
     flat = np.zeros(size.sum())
     at, w = row[eq] + local[col], w[eq]
     for sel, dr, dc, v in cells:

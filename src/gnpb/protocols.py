@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .bases import SIGNS, _SIGN, bennett_npb_3x3, get_basis
+from .bases import DOMINO, GRID_43, get_basis
 from .engine import complete_by_symmetry, flip_sym, verify_protocol
 from .tree import (
     AttachResource,
@@ -61,15 +61,15 @@ def _dance(actor, reg, child):
     )
 
 
-def _signs(prefix, *rest_parts):
-    return tuple(f"{prefix}_{_SIGN[s]}{''.join(rest_parts)}" for s in SIGNS)
+def _signs(prefix):
+    return (f"{prefix}_p", f"{prefix}_m")
 
 
 # ---------------------------------------------------------------------------
 # merge-then-one-EPR protocols for the three-qutrit bases
 
 def _psi(i):
-    return tuple(f"psi_{i}_{_SIGN[s]}{_SIGN[t]}" for s in SIGNS for t in SIGNS)
+    return tuple(f"psi_{i}_{s}{t}" for s in "pm" for t in "pm")
 
 
 def prop5_protocol(target="B_II_33"):
@@ -273,16 +273,16 @@ def prop6_protocol():
 # ---------------------------------------------------------------------------
 # generic shift-completion subprotocol (teleport one EPR endpoint)
 
-def shift_core(o_party, r_party, t_party, regs, levels, x, y, groups):
+def shift_core(o_party, r_party, t_party, levels, x, y, groups):
     """Distinguish the 8-state shift completion with one EPR between R and T.
 
     T teleports its two active levels onto x (held by R) through a parity
     measurement followed by +-basis readouts of its register and of y; R
     then splits off the pair twisted at O and hands the rest to O's
-    computational readout.  ``levels`` maps parties to their two active
-    levels; ``groups`` carries the state labels by twist location.
+    computational readout.  Each party acts on the register of its own
+    name; ``levels`` maps parties to their two active levels; ``groups``
+    carries the state labels by twist location.
     """
-    o_reg, r_reg, t_reg = regs[o_party], regs[r_party], regs[t_party]
     ol0, ol1 = levels[o_party]
     rl0, rl1 = levels[r_party]
     tl0, tl1 = levels[t_party]
@@ -290,7 +290,7 @@ def shift_core(o_party, r_party, t_party, regs, levels, x, y, groups):
     def core(x0, x1):
         o_node = measure(
             o_party,
-            (eff("O0", P(**{o_reg: ol0})), eff("O1", P(**{o_reg: ol1})), rest("Or")),
+            (eff("O0", P(**{o_party: ol0})), eff("O1", P(**{o_party: ol1})), rest("Or")),
             {
                 "O0": D(*groups["twist_T"], groups["diag0"]),
                 "O1": D(*groups["twist_R"], groups["diag1"]),
@@ -299,7 +299,7 @@ def shift_core(o_party, r_party, t_party, regs, levels, x, y, groups):
         )
         f_node = measure(
             r_party,
-            (eff("F", P(**{r_reg: [rl0, rl1], x: x0}), P(**{r_reg: rl1, x: x1})),
+            (eff("F", P(**{r_party: [rl0, rl1], x: x0}), P(**{r_party: rl1, x: x1})),
              rest("Fb")),
             {"F": o_node, "Fb": D(*groups["twist_O"])},
         )
@@ -314,8 +314,8 @@ def shift_core(o_party, r_party, t_party, regs, levels, x, y, groups):
         return measure(
             t_party,
             (
-                eff("Hp", P(**{t_reg: (tl0, 1, tl1)})),
-                eff("Hm", P(**{t_reg: (tl0, -1, tl1)})),
+                eff("Hp", P(**{t_party: (tl0, 1, tl1)})),
+                eff("Hm", P(**{t_party: (tl0, -1, tl1)})),
                 rest("Hr"),
             ),
             {"Hp": g_node, "Hm": g_node, "Hr": Fail()},
@@ -323,7 +323,7 @@ def shift_core(o_party, r_party, t_party, regs, levels, x, y, groups):
 
     return measure(
         t_party,
-        (eff("E", P(**{t_reg: tl0, y: 0}), P(**{t_reg: tl1, y: 1})), rest("Eb")),
+        (eff("E", P(**{t_party: tl0, y: 0}), P(**{t_party: tl1, y: 1})), rest("Eb")),
         {"E": readout(0, 1), "Eb": readout(1, 0)},
     )
 
@@ -349,7 +349,6 @@ def shift_upb_subprotocol(epr_endpoints=("B", "C")):
     }
     core = shift_core(
         o_party, r_party, t_party,
-        regs={p: p for p in parties},
         levels={p: (0, 1) for p in parties},
         x="x", y="y",
         groups=groups,
@@ -375,7 +374,6 @@ def prop7_protocol():
     """
     shift = shift_core(
         "A", "B", "C",
-        regs={"A": "A", "B": "B", "C": "C"},
         levels={p: (0, 1) for p in "ABC"},
         x="b2", y="c2",
         groups={
@@ -488,7 +486,6 @@ def prop8_protocol():
     """
     shift = shift_core(
         "A", "B", "C",
-        regs={"A": "A", "B": "B", "C": "C"},
         levels={"A": (3, 2), "B": (3, 2), "C": (2, 1)},
         x="bp", y="cp",
         groups={
@@ -689,10 +686,9 @@ def basis_I_43_protocol():
     known cheaper 1-ebit completion is not modeled, so the ledger is an
     upper bound.
     """
-    bennett = bennett_npb_3x3().labels
     merge_bc = MergeParties(
         "C", "B", LOG2_3,
-        D(*(f"3_{n}" for n in bennett)),
+        D(*(f"3_{n}" for n in DOMINO)),
     )
     a3_branch = measure(
         "B",
@@ -708,9 +704,9 @@ def basis_I_43_protocol():
     )
     merge_ab = MergeParties(
         "B", "A", LOG2_3,
-        D(*(f"{n}_3" for n in bennett)),
+        D(*(f"{n}_3" for n in DOMINO)),
     )
-    rest36 = tuple("".join(str(i) for i in t) for t in _r_table_no3())
+    rest36 = tuple(lbl for lbl in GRID_43 if "3" not in (lbl[0], lbl[2]))
     a012_branch = measure(
         "C",
         (eff("C3", P(C=3)), rest("C012")),
@@ -734,12 +730,6 @@ def basis_I_43_protocol():
         declared=(("MERGE", ("B", "C"), 9.0 / 64.0), ("MERGE", ("A", "B"), 9.0 / 64.0)),
         root=root,
     )
-
-
-def _r_table_no3():
-    """The 36 computational states with neither A nor C reading 3."""
-    from .bases import _R_TABLE
-    return [t for t in _R_TABLE if t[0] != 3 and t[2] != 3]
 
 
 BUILTIN_PROTOCOLS = {

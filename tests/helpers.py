@@ -2,6 +2,7 @@
 and local irreducibility over a party partition."""
 
 from gnpb.opm import opm_solution_space
+from gnpb.qstate import Ket
 from gnpb.tree import AttachResource, Distinguishable, Fail, Identify, MergeParties
 
 
@@ -40,3 +41,14 @@ def is_locally_irreducible(basis, partition):
     if sorted(seen) != sorted(p for p, _ in basis.parties):
         raise ValueError("partition must cover every party exactly once")
     return all(opm_solution_space(basis, g).dim == 1 for g in partition)
+
+
+def joint_rows(basis):
+    """Each state's joint amplitudes, by label: the rows of ``joint_matrix()``."""
+    return dict(zip(basis.labels, basis.joint_matrix()))
+
+
+def joint_kets(basis, labels=None):
+    """``[(label, Ket)]`` of ``labels`` (every state by default) on the basis's space."""
+    rows, space = joint_rows(basis), basis.space()
+    return [(lbl, Ket(space, rows[lbl])) for lbl in (basis.labels if labels is None else labels)]

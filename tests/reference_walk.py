@@ -8,6 +8,7 @@ call :func:`gnpb.engine.leaf_verify` on dense kets, so this walk shares the
 strategy search with the engine and does not check it.
 """
 
+from functools import reduce
 from math import log2, prod
 
 import numpy as np
@@ -36,7 +37,7 @@ class ReferenceWalk:
         self.tol, self.prior = tol, 1.0 / len(basis)
         self.failures, self.leaves, self.consumption, self.merges = set(), set(), {}, {}
         self.identification = {lbl: 0.0 for lbl in basis.labels}
-        states = [(s.label, s.joint().reshape(-1), 1.0) for s in basis.states]
+        states = [(s.label, reduce(np.kron, s.factors), 1.0) for s in basis.states]
         try:
             self.run(root, basis.space(), states, [], frozenset(), "root")
         except (KeyError, ValueError):

@@ -1,30 +1,28 @@
 """Basis constructors: counts, membership, orthogonality, tiles, resources."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from gnpb.bases import (
     OrthoProductBasis,
     ProductState,
+    GRID_43,
     RESOURCE_KINDS,
-    _R_TABLE,
     basis_I_43,
     basis_II_33,
     basis_II_43,
     basis_IIb_33,
     bennett_npb_3x3,
     check_basis,
-    chi,
-    comp,
-    eta,
     get_basis,
-    kappa,
     render_tiles,
     resource_ket,
     shift_upb_opb_222,
-    xi,
 )
 from gnpb.qstate import schmidt_ebits
+from gnpb.tree import KetExpr
 
 from .test_golden_classify import rotated
 
@@ -50,19 +48,19 @@ def test_bennett_pairwise_scan():
             assert abs(np.vdot(mat[i], mat[j])) < 1e-12
 
 
-def test_r_table_frozen():
-    assert len(_R_TABLE) == 46
-    assert len(set(_R_TABLE)) == 46
+def test_grid_43_frozen():
+    assert len(GRID_43) == 46
+    assert len(set(GRID_43)) == 46
     # spot membership at the table's corners and interior
-    for t in [(3, 0, 3), (3, 3, 3), (2, 0, 0), (0, 3, 3), (1, 3, 3), (1, 1, 1)]:
-        assert t in _R_TABLE
-    for t in [(3, 0, 0), (0, 3, 9), (2, 2, 3)]:
-        assert t not in _R_TABLE
+    for t in ["303", "333", "200", "033", "133", "111"]:
+        assert t in GRID_43
+    for t in ["300", "039", "223"]:
+        assert t not in GRID_43
 
 
 def test_basis_I_alice_three_sector_is_sixteen():
     b = basis_I_43()
-    e3 = comp(3, 4)
+    e3 = KetExpr(3).vector(4)
     sector = [st.label for st in b.states
               if abs(np.vdot(e3, st.factors[0])) > 1 - 1e-9]
     expected = {f"3_{n}" for n in
@@ -76,11 +74,11 @@ def test_basis_I_embeds_bennett_both_ways():
     bennett = bennett_npb_3x3()
     for lbl, st2 in zip(bennett.labels, bennett.states):
         bc = b.state(f"3_{lbl}")
-        assert np.allclose(bc.factors[0], comp(3, 4))
+        assert np.allclose(bc.factors[0], KetExpr(3).vector(4))
         assert np.allclose(bc.factors[1][:3], st2.factors[0])
         assert np.allclose(bc.factors[2][:3], st2.factors[1])
         ab = b.state(f"{lbl}_3")
-        assert np.allclose(ab.factors[2], comp(3, 4))
+        assert np.allclose(ab.factors[2], KetExpr(3).vector(4))
         assert np.allclose(ab.factors[0][:3], st2.factors[0])
         assert np.allclose(ab.factors[1][:3], st2.factors[1])
 
@@ -97,26 +95,25 @@ def test_II_43_contains_twist_not_computational():
     labels = set(basis_II_43().labels)
     assert "03cp" in labels and "032" not in labels
     st = basis_II_43().state("03cp")
-    assert np.allclose(st.factors[2], chi(1))
+    assert np.allclose(st.factors[2], KetExpr(2, 3, 1).vector(4))
 
 
 def test_II_33_sign_convention():
     b = basis_II_33()
     st = b.state("psi_1_pm")  # |0>|eta+>|xi->
-    assert np.allclose(st.factors[0], comp(0, 3))
-    assert np.allclose(st.factors[1], eta(1))
-    assert np.allclose(st.factors[2], xi(-1))
+    assert np.allclose(st.factors[0], KetExpr(0).vector(3))
+    assert np.allclose(st.factors[1], KetExpr(0, 1, 1).vector(3))
+    assert np.allclose(st.factors[2], KetExpr(1, 2, -1).vector(3))
     # <psi(+,+)_1 | psi(-,+)_1> = 0 through the eta factors
-    v1 = b.state("psi_1_pp").joint()
-    v2 = b.state("psi_1_mp").joint()
-    assert abs(np.vdot(v1, v2)) < 1e-12
+    rows = dict(zip(b.labels, b.joint_matrix()))
+    assert abs(np.vdot(rows["psi_1_pp"], rows["psi_1_mp"])) < 1e-12
 
 
 def test_IIb_33_contains_kappa_state():
     st = basis_IIb_33().state("gamma_2_p")  # |kappa+>|0>|2>
-    assert np.allclose(st.factors[0], kappa(1))
-    assert np.allclose(st.factors[1], comp(0, 3))
-    assert np.allclose(st.factors[2], comp(2, 3))
+    assert np.allclose(st.factors[0], KetExpr(0, 2, 1).vector(3))
+    assert np.allclose(st.factors[1], KetExpr(0).vector(3))
+    assert np.allclose(st.factors[2], KetExpr(2).vector(3))
 
 
 def test_shift_relabeling_of_conditional_branch_states():
@@ -152,8 +149,8 @@ def test_shift_relabeling_of_conditional_branch_states():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         OrthoProductBasis("bad", [("A", 2)], [
-            ProductState("x", (comp(0, 2),)),
-            ProductState("x", (comp(1, 2),)),
+            ProductState("x", (KetExpr(0).vector(2),)),
+            ProductState("x", (KetExpr(1).vector(2),)),
         ])
 
 
@@ -169,7 +166,7 @@ def test_json_round_trip():
 def _kron_per_state(basis):
     """The joint amplitudes as ``joint_matrix`` built them before: one
     ``np.kron`` chain per state."""
-    return np.array([st.joint() for st in basis.states])
+    return np.array([reduce(np.kron, st.factors) for st in basis.states])
 
 
 @pytest.mark.parametrize("name", ALL_BASES)
@@ -185,10 +182,12 @@ def test_joint_matrix_mixing_real_and_complex_factors_keeps_the_values():
     # a real state times a complex one gives the same values, but the row-wise
     # product may flip the sign of a zero imaginary part
     phase = np.exp(0.7j)
+    e2m, e3p = KetExpr(0, 1, -1).vector(2), KetExpr(0, 1, 1).vector(3)
+    x3m, x3p = KetExpr(1, 2, -1).vector(3), KetExpr(1, 2, 1).vector(3)
     basis = OrthoProductBasis("mixed", [("A", 2), ("B", 3)], [
-        ProductState("a", (eta(-1, 2), xi(-1))),
-        ProductState("b", (phase * comp(0, 2), -eta(1))),
-        ProductState("c", (-comp(1, 2), xi(1) * 1j))])
+        ProductState("a", (e2m, x3m)),
+        ProductState("b", (phase * KetExpr(0).vector(2), -e3p)),
+        ProductState("c", (-KetExpr(1).vector(2), x3p * 1j))])
     got, want = basis.joint_matrix(), _kron_per_state(basis)
     assert got.dtype == want.dtype == complex
     assert np.array_equal(got, want)

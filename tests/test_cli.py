@@ -170,6 +170,8 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
                                    {"name": "C", "dim": 2}],
                        "states": [{"label": "s", "factors": [[], [[1, 0], [0, 0]],
                                                              [[1, 0], [0, 0]]]}]})
+NO_PARTY = json.dumps({"parties": [], "states": []})
+NO_PARTY_ONE_STATE = json.dumps({"parties": [], "states": [{"label": "s", "factors": []}]})
 ONE_PARTY = json.dumps({"parties": [{"name": "A", "dim": 2}],
                         "states": [{"label": f"s{i}", "factors": [f]}
                                    for i, f in enumerate([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])]})
@@ -202,6 +204,11 @@ ONE_PARTY = json.dumps({"parties": [{"name": "A", "dim": 2}],
     pytest.param(("classify", "FILE"), NAME_NULL, id="classify-name-null"),
     pytest.param(("tiles", "FILE", "--cut", "|A"), ONE_PARTY, id="tiles-one-party-cut"),
     pytest.param(("tiles", "FILE"), ONE_PARTY, id="tiles-one-party"),
+    pytest.param(("check-basis", "FILE"), NO_PARTY, id="check-basis-no-party"),
+    pytest.param(("--json", "check-basis", "FILE"), NO_PARTY, id="json-check-basis-no-party"),
+    pytest.param(("check-basis", "FILE"), NO_PARTY_ONE_STATE, id="check-basis-no-party-one-state"),
+    pytest.param(("--json", "check-basis", "FILE"), NO_PARTY_ONE_STATE,
+                 id="json-check-basis-no-party-one-state"),
     pytest.param(("--tol", "nan", "verify", "prop5_II33"), None, id="tol-nan"),
     pytest.param(("--tol", "-1", "verify", "prop5_II33"), None, id="tol-negative"),
     pytest.param(("--tol", "inf", "verify", "prop5_II33"), None, id="tol-inf"),

@@ -10,11 +10,8 @@ from gnpb.bases import (
     RESOURCE_KINDS,
     OrthoProductBasis,
     ProductState,
-    comp,
-    eta,
     get_basis,
     resource_amplitudes,
-    xi,
 )
 from gnpb.engine import (
     complete_by_symmetry,
@@ -41,12 +38,12 @@ from gnpb.tree import (
     rest,
 )
 
-from .helpers import resource_cuts_per_path
+from .helpers import joint_kets, joint_rows, resource_cuts_per_path
 
 
 def _single_state_basis():
     return OrthoProductBasis("one", [("A", 2), ("B", 2)],
-                             [ProductState("only", (comp(0, 2), comp(1, 2)))])
+                             [ProductState("only", (KetExpr(0).vector(2), KetExpr(1).vector(2)))])
 
 
 def test_trivial_identity_protocol_passes():
@@ -78,8 +75,8 @@ def test_non_projector_effect_rejected():
 def test_probability_sum_names_unnormalized_state():
     # a factor scaled by 2 makes every outcome probability of "big" 4x too large
     basis = OrthoProductBasis("scaled", [("A", 2), ("B", 2)], [
-        ProductState("big", (2 * comp(0, 2), comp(0, 2))),
-        ProductState("ok", (comp(1, 2), comp(0, 2))),
+        ProductState("big", (2 * KetExpr(0).vector(2), KetExpr(0).vector(2))),
+        ProductState("ok", (KetExpr(1).vector(2), KetExpr(0).vector(2))),
     ])
     root = measure("A", (eff("zero", P(A=0)), eff("one", P(A=1))),
                    {"zero": Identify("big"), "one": Identify("ok")})
@@ -106,16 +103,12 @@ def test_identify_wrong_label_fails():
 # ---------------------------------------------------------------------------
 # leaf_verify
 
-def _states_of(basis, labels):
-    return [(lbl, basis.joint_ket(lbl)) for lbl in labels]
-
-
 def test_leaf_verify_two_states_second_party():
     basis = OrthoProductBasis("pair", [("A", 2), ("B", 2)], [
-        ProductState("x", (comp(0, 2), comp(0, 2))),
-        ProductState("y", (comp(0, 2), comp(1, 2))),
+        ProductState("x", (KetExpr(0).vector(2), KetExpr(0).vector(2))),
+        ProductState("y", (KetExpr(0).vector(2), KetExpr(1).vector(2))),
     ])
-    tree = leaf_verify(_states_of(basis, ["x", "y"]))
+    tree = leaf_verify(joint_kets(basis, ["x", "y"]))
     assert tree is not None
     assert tree.party == "B"
 
@@ -125,9 +118,10 @@ def test_leaf_verify_twist_family():
     states = []
     for s, sn in ((1, "p"), (-1, "m")):
         for t, tn in ((1, "p"), (-1, "m")):
-            states.append(ProductState(f"psi_{sn}{tn}", (eta(s), comp(2, 3), xi(t))))
+            factors = (KetExpr(0, 1, s).vector(3), KetExpr(2).vector(3), KetExpr(1, 2, t).vector(3))
+            states.append(ProductState(f"psi_{sn}{tn}", factors))
     basis = OrthoProductBasis("fam", [("A", 3), ("B", 3), ("C", 3)], states)
-    tree = leaf_verify(_states_of(basis, basis.labels))
+    tree = leaf_verify(joint_kets(basis))
     assert tree is not None
     assert tree.party == "A"
     assert len(tree.blocks) == 2
@@ -139,12 +133,12 @@ def test_leaf_verify_twist_family():
 
 def test_leaf_verify_none_on_bennett():
     basis = get_basis("bennett_3x3")
-    assert leaf_verify(_states_of(basis, basis.labels)) is None
+    assert leaf_verify(joint_kets(basis)) is None
 
 
 def test_leaf_verify_none_on_shift():
     basis = get_basis("shift_222")
-    assert leaf_verify(_states_of(basis, basis.labels)) is None
+    assert leaf_verify(joint_kets(basis)) is None
 
 
 def test_leaf_verify_none_on_entangled_input():
@@ -167,7 +161,7 @@ def test_leaf_verify_ignores_detached_resource():
     phi[[0, 3]] = 1 / np.sqrt(2)
     states = []
     for lbl, (i, j) in (("u", (0, 0)), ("v", (0, 1))):
-        vec = np.kron(np.kron(comp(i, 2), comp(j, 2)), phi)
+        vec = np.kron(np.kron(KetExpr(i).vector(2), KetExpr(j).vector(2)), phi)
         states.append((lbl, Ket(space, vec)))
     assert leaf_verify(states) is None                        # entangled pair blocks
     assert leaf_verify(states, ignore=("x", "y")) is not None  # detached: fine
@@ -175,7 +169,7 @@ def test_leaf_verify_ignores_detached_resource():
 
 def test_leaf_verify_single_state():
     basis = _single_state_basis()
-    tree = leaf_verify(_states_of(basis, ["only"]))
+    tree = leaf_verify(joint_kets(basis, ["only"]))
     assert tree is not None and tree.party is None
 
 
@@ -382,8 +376,8 @@ def test_leaf_verify_strip_preserves_complex_phases():
     plus_i = np.array([1, 1j]) / np.sqrt(2)
     minus_i = np.array([1, -1j]) / np.sqrt(2)
     states = []
-    for lbl, (a, b) in (("u", (plus_i, comp(0, 2))), ("v", (minus_i, comp(0, 2))),
-                        ("w", (comp(0, 2), comp(1, 2)))):
+    zero, one = KetExpr(0).vector(2), KetExpr(1).vector(2)
+    for lbl, (a, b) in (("u", (plus_i, zero)), ("v", (minus_i, zero)), ("w", (zero, one))):
         vec = np.kron(np.kron(a, b), phi)
         states.append((lbl, Ket(space, vec)))
     tree = leaf_verify(states, ignore=("x", "y"))
@@ -440,7 +434,8 @@ def test_product_test_on_three_groups():
 
     space = CompositeSpace([Subsystem("A", 2, "A"), Subsystem("x", 2, "A"),
                             Subsystem("B", 3, "B"), Subsystem("y", 2, "B")])
-    a, x, b, y = np.array([1, 1j]) / np.sqrt(2), comp(0, 2), eta(-1), np.array([0.6, 0.8])
+    a, x = np.array([1, 1j]) / np.sqrt(2), KetExpr(0).vector(2)
+    b, y = KetExpr(0, 1, -1).vector(3), np.array([0.6, 0.8])
     product = np.kron(np.kron(np.kron(a, x), b), y)
     phi = np.zeros(4)
     phi[[0, 3]] = 1 / np.sqrt(2)  # x and y share an EPR pair
@@ -486,7 +481,7 @@ def test_complex_basis_walks_like_the_real_one():
     for state in doc["states"]:
         state["factors"][0] = [[-im, re] for re, im in state["factors"][0]]
     phased = OrthoProductBasis.from_json(json.dumps(doc), name=basis.name)
-    assert phased.states[0].joint().dtype == np.complex128
+    assert phased.joint_matrix().dtype == np.complex128
     real, cplx = (get_protocol("prop6").verify(b) for b in (basis, phased))
     assert cplx.ok and real.ok
     assert (cplx.n_measurements, cplx.n_leaves) == (real.n_measurements, real.n_leaves)
@@ -533,8 +528,8 @@ def test_branch_no_state_reaches_is_still_walked(leaves, failures, strategies, l
     on an empty candidate set, and the ledger is unchanged (all values were
     recorded from the walk that projected every effect)."""
     basis = OrthoProductBasis("pair", [("A", 2), ("B", 2)], [
-        ProductState("x", (comp(0, 2), comp(0, 2))),
-        ProductState("y", (comp(0, 2), comp(1, 2))),
+        ProductState("x", (KetExpr(0).vector(2), KetExpr(0).vector(2))),
+        ProductState("y", (KetExpr(0).vector(2), KetExpr(1).vector(2))),
     ])
     report = verify_protocol(_empty_branch_tree(leaves), basis, "empty")
     assert (report.n_measurements, report.n_leaves) == (3, 4)
@@ -572,9 +567,9 @@ def test_sibling_leaves_reusing_labels_are_searched_on_their_own_space(kinds_0, 
     (a label's scope ends with its branch).  Each distinguishable leaf is
     searched on its own space and register order, as :func:`leaf_verify`
     searches the same states written out in space order."""
-    plus, minus = eta(1, 2), eta(-1, 2)
+    plus, minus = KetExpr(0, 1, 1).vector(2), KetExpr(0, 1, -1).vector(2)
     basis = OrthoProductBasis("pm", [("A", 2), ("B", 2)], [
-        ProductState(lbl, (a, comp(b, 2)))
+        ProductState(lbl, (a, KetExpr(b).vector(2)))
         for lbl, a, b in (("x", plus, 0), ("y", plus, 1), ("z", minus, 0), ("w", minus, 1))
     ])
     branches = (("b0", kinds_0, ("x", "z")), ("b1", kinds_1, ("y", "w")))
@@ -596,7 +591,7 @@ def test_sibling_leaves_reusing_labels_are_searched_on_their_own_space(kinds_0, 
             pair[k * d + k] = 1.0
             states = []
             for lbl in labels:
-                amps = np.kron(basis.state(lbl).joint().reshape(-1), pair)
+                amps = np.kron(joint_rows(basis)[lbl], pair)
                 for kind in kinds[1:]:
                     amps = np.kron(amps, resource_amplitudes(kind))
                 states.append((lbl, Ket(space, amps)))

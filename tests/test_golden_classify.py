@@ -11,7 +11,8 @@ report, regenerate the file with
 The reports round their floats, so a digest of the unrounded
 ``check_basis(...).to_dict()`` and ``classify(...).to_dict()`` of
 Haar-rotated copies (read back from JSON, so no amplitude is zero) pins
-their last bits too.
+their last bits too, and a digest of each built-in's labels and factor
+arrays pins its amplitudes themselves.
 """
 
 import contextlib
@@ -83,6 +84,26 @@ def report_digest(basis):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def basis_digest(basis):
+    """sha256 (first 16 hex digits) of the labels in order, each factor's dtype
+    and the dtype, shape and bytes of every ``factor_arrays()`` array."""
+    h = hashlib.sha256("\n".join(basis.labels).encode())
+    h.update(" ".join(f.dtype.str for st in basis.states for f in st.factors).encode())
+    for arr in basis.factor_arrays():
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+BASIS_DIGESTS = {
+    'bennett_3x3': '696420e7544d01f2',
+    'B_I_43': '38f97ca9fb96f7aa',
+    'B_II_43': '4204d2ba0459cf17',
+    'B_II_33': '21639e7cf8e995f8',
+    'B_IIb_33': '97005df83f83b1e3',
+    'shift_222': '3ad402782ff3174e',
+}
+
 BUILTIN_DIGESTS = {
     'bennett_3x3': '4c9c1ac0db51ef92',
     'B_I_43': '18307e995a525453',
@@ -113,6 +134,15 @@ ROTATED_DIGESTS = {
     ('B_IIb_33', 601): '7bd6c0ce17728786',
     ('shift_222', 601): '646743b0333b7cde',
 }
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DIGESTS))
+def test_builtin_amplitudes_are_pinned(name):
+    assert basis_digest(get_basis(name)) == BASIS_DIGESTS[name]
+
+
+def test_every_builtin_has_a_basis_digest():
+    assert sorted(BASIS_DIGESTS) == sorted(BUILTIN_BASES)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))

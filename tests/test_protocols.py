@@ -5,13 +5,13 @@ from math import log2
 import numpy as np
 import pytest
 
-from gnpb.bases import comp, eta, get_basis, xi
+from gnpb.bases import get_basis
 from gnpb.engine import leaf_verify, materialize, verify_protocol
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL, born
 from gnpb.tree import Distinguishable, Identify
 
-from .helpers import resource_cuts_per_path
+from .helpers import joint_kets, joint_rows, resource_cuts_per_path
 
 
 def _born1(space, acted, matrix, vec):
@@ -159,7 +159,7 @@ def test_prop8_step1_produces_tag_entangled_pair():
         [Subsystem(p, 4, p) for p in "ABC"]
         + [Subsystem("a", 2, "A"), Subsystem("b", 2, "B"), Subsystem("c", 2, "C")]
     )
-    joint = np.kron(basis.state("2xp_3").joint(), resource_amplitudes("GHZ"))
+    joint = np.kron(joint_rows(basis)["2xp_3"], resource_amplitudes("GHZ"))
     m_eff = m_node.effects[0]
     mat = materialize(m_eff, space, m_node.acted())
     p, post = _born1(space, m_node.acted(), mat, joint)
@@ -190,7 +190,7 @@ def test_prop6_step1_post_state_row3():
         + [Subsystem("a1", 2, "A"), Subsystem("b1", 2, "B"),
            Subsystem("a2", 2, "A"), Subsystem("c1", 2, "C")]
     )
-    joint = np.kron(np.kron(basis.state("psi_3_pp").joint(),
+    joint = np.kron(np.kron(joint_rows(basis)["psi_3_pp"],
                             resource_amplitudes("EPR")),
                     resource_amplitudes("EPR"))
     state = joint
@@ -239,7 +239,7 @@ def test_prop7_k3_survivors_form_shift_set():
         "phi_0": "000", "phi_1": "111",
     }
     for lbl, shift_lbl in pairs.items():
-        joint = basis.state(lbl).joint()
+        joint = joint_rows(basis)[lbl]
         for _ in range(3):
             joint = np.kron(joint, resource_amplitudes("EPR"))
         state = joint
@@ -296,8 +296,7 @@ def test_shift_subprotocol_every_endpoint_pair():
 
 def test_shift_without_epr_is_stuck():
     basis = get_basis("shift_222")
-    states = [(lbl, basis.joint_ket(lbl)) for lbl in basis.labels]
-    assert leaf_verify(states) is None
+    assert leaf_verify(joint_kets(basis)) is None
 
 
 def test_every_distinguishable_leaf_has_strategy():

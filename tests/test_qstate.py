@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnpb.bases import ProductState, comp, eta, xi
 from gnpb.qstate import (
     CompositeSpace,
     Ket,
@@ -20,14 +19,14 @@ from gnpb.tree import KetExpr
 
 def test_tensor_basis_case():
     # |0> x |0> -> amplitude 1 at flat index 0
-    amps = ProductState("00", (comp(0, 2), comp(0, 2))).joint()
+    amps = np.kron(KetExpr(0).vector(2), KetExpr(0).vector(2))
     assert amps[0] == 1.0
     assert np.count_nonzero(amps) == 1
 
 
 def test_tensor_eta_xi_positions():
     # |eta+> x |xi+>: four amplitudes of 1/2 at (0,1),(0,2),(1,1),(1,2)
-    amps = ProductState("ex", (eta(1), xi(1))).joint()
+    amps = np.kron(KetExpr(0, 1, 1).vector(3), KetExpr(1, 2, 1).vector(3))
     expected = np.zeros(9)
     for i, j in [(0, 1), (0, 2), (1, 1), (1, 2)]:
         expected[3 * i + j] = 0.5
@@ -35,7 +34,8 @@ def test_tensor_eta_xi_positions():
 
 
 def test_tensor_norm_multiplicative():
-    amps = ProductState("exc", (eta(1), xi(-1), comp(2, 3))).joint()
+    amps = np.kron(np.kron(KetExpr(0, 1, 1).vector(3), KetExpr(1, 2, -1).vector(3)),
+                   KetExpr(2).vector(3))
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
@@ -46,23 +46,23 @@ def test_tensor_label_collision():
 
 
 def test_inner_eta_pair_orthogonal():
-    assert abs(np.vdot(eta(1), eta(-1))) < 1e-12
+    assert abs(np.vdot(KetExpr(0, 1, 1).vector(3), KetExpr(0, 1, -1).vector(3))) < 1e-12
 
 
 def test_inner_eta_xi_half():
     # expand ((<0|+<1|)/sqrt2)((|1>+|2>)/sqrt2) = 1/2
-    assert np.vdot(eta(1), xi(1)) == pytest.approx(0.5)
+    assert np.vdot(KetExpr(0, 1, 1).vector(3), KetExpr(1, 2, 1).vector(3)) == pytest.approx(0.5)
 
 
 def test_inner_self_is_one():
-    psi = xi(-1)
+    psi = KetExpr(1, 2, -1).vector(3)
     assert np.vdot(psi, psi) == pytest.approx(1.0)
 
 
 def test_ket_vocabulary_levels():
-    assert np.array_equal(KetExpr(2).vector(4), comp(2, 4))
+    assert np.array_equal(KetExpr(2).vector(4), [0, 0, 1, 0])
     assert np.array_equal(KetExpr(1, 0, -1).vector(3), KetExpr(0, 1, -1).vector(3))
-    assert np.array_equal(KetExpr(0, 1, -1).vector(3), eta(-1))
+    assert np.array_equal(KetExpr(0, 1, -1).vector(3), np.array([1, -1, 0]) / np.sqrt(2))
     with pytest.raises(ValueError):
         KetExpr(3).vector(3)
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def _space(*dims):
 
 def test_apply_effect_eigenstate():
     space = _space(4, 4, 4)
-    state = ProductState("300", (comp(3, 4), comp(0, 4), comp(0, 4))).joint()
+    state = KetExpr(48).vector(64)  # |300>
     p, post = _born1(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == pytest.approx(1.0)
     assert abs(np.vdot(post, state)) == pytest.approx(1.0)
@@ -99,7 +99,7 @@ def test_apply_effect_eigenstate():
 
 def test_apply_effect_annihilated():
     space = _space(4, 4, 4)
-    state = ProductState("200", (comp(2, 4), comp(0, 4), comp(0, 4))).joint()
+    state = KetExpr(32).vector(64)  # |200>
     p, post = _born1(space, ("A",), _proj([0, 0, 0, 1]), state)
     assert p == 0.0 and post is None
 
@@ -111,20 +111,22 @@ def test_apply_effect_twist_break_on_epr():
                             Subsystem("b1", 2, "B")])
     phi = np.zeros(4, dtype=complex)
     phi[[0, 3]] = 1 / np.sqrt(2)
-    joint = np.kron(eta(1), phi)
+    eta = KetExpr(0, 1, 1).vector(3)
+    joint = np.kron(eta, phi)
     m = np.kron(_proj([1, 0, 0]) + _proj([0, 1, 0]), _proj([1, 0])) \
         + np.kron(_proj([0, 0, 1]), _proj([0, 1]))
     p, post = _born1(space, ("B", "b1"), m, joint)
-    expected = np.kron(eta(1), np.array([1, 0, 0, 0]))
+    expected = np.kron(eta, np.array([1, 0, 0, 0]))
     assert p == pytest.approx(0.5)
     assert abs(np.vdot(expected, post)) == pytest.approx(1.0)
 
 
 def test_apply_effect_idempotent():
     space = _space(3, 3)
-    state = np.kron(eta(1), xi(-1))
-    p, post = _born1(space, ("A",), _proj(eta(1)), state)
-    p2, post2 = _born1(space, ("A",), _proj(eta(1)), post)
+    eta = KetExpr(0, 1, 1).vector(3)
+    state = np.kron(eta, KetExpr(1, 2, -1).vector(3))
+    p, post = _born1(space, ("A",), _proj(eta), state)
+    p2, post2 = _born1(space, ("A",), _proj(eta), post)
     assert p == pytest.approx(1.0) and p2 == pytest.approx(1.0)
     assert abs(np.vdot(post, post2)) == pytest.approx(1.0)
 
@@ -151,7 +153,8 @@ def test_schmidt_qutrit_pair():
 
 
 def test_schmidt_product_state_zero():
-    amps = ProductState("exc", (eta(1), xi(1), comp(0, 3))).joint()
+    amps = np.kron(np.kron(KetExpr(0, 1, 1).vector(3), KetExpr(1, 2, 1).vector(3)),
+                   KetExpr(0).vector(3))
     k = Ket(_space(3, 3, 3), amps)
     assert schmidt_ebits(k, ("A",)) == pytest.approx(0.0, abs=1e-9)
     assert schmidt_ebits(k, ("A", "B")) == pytest.approx(0.0, abs=1e-9)
@@ -200,7 +203,7 @@ def test_complete_measurement_probabilities_sum_to_one(u, seed):
 
 
 def test_pairwise_max_overlap():
-    vecs = [comp(0, 3), comp(1, 3), eta(1)]
+    vecs = [KetExpr(0).vector(3), KetExpr(1).vector(3), KetExpr(0, 1, 1).vector(3)]
     assert pairwise_max_overlap(vecs) == pytest.approx(1 / np.sqrt(2))
 
 
