@@ -66,7 +66,8 @@ class HermitianSolutionSpace:
 
     @cached_property
     def basis_matrices(self):
-        """``(dim, d, d)``, orthonormal in opm_solution_space's coordinates."""
+        """``(dim, d, d)``, orthonormal in opm_solution_space's coordinates;
+        only their first read factorises the kept stacks."""
         return self.build()
 
     @property
@@ -87,7 +88,8 @@ def _nodes(d):
     diagonal first, its entry {rk[n], cl[n]} and its first coordinate."""
     r = np.arange(d)
     k, l = (r[:, None] < r).nonzero()
-    return k, l, np.concatenate([r, k]), np.concatenate([r, l]), np.r_[r, d:d * d:2]
+    first = np.concatenate([r, np.arange(d, d * d, 2)])
+    return k, l, np.concatenate([r, k]), np.concatenate([r, l]), first
 
 
 def opm_solution_space(basis, group):
@@ -96,10 +98,11 @@ def opm_solution_space(basis, group):
     The real coordinates of a Hermitian E are the diagonal, then per k < l
     the real and minus the imaginary part of E[k, l].  A pair constrains
     only the entries {k, l} (nodes) where its factors are nonzero; the nodes
-    that share pairs form independent blocks, each solved by the singular
-    values of its QR factor R.  Real factors put the symmetric and the
-    antisymmetric coordinates in separate rows and so in separate blocks.
-    ``basis_matrices`` are built from the kept R on their first read.
+    that share pairs form independent blocks, each solved by its own
+    singular values.  Real factors put the symmetric and the antisymmetric
+    coordinates in separate rows and so in separate blocks.  The stacks of
+    blocks with a nullspace are kept, and ``basis_matrices`` are built from
+    them on their first read.
     """
     group = tuple(group)
     (i, j), factors = constrained_pairs(basis, group)
@@ -144,7 +147,7 @@ def opm_solution_space(basis, group):
         label = low
     plabel = label[plabel]
     # number the blocks by shape, free units (no equations) first, so that
-    # one stacked QR and SVD solves all blocks of a shape
+    # one stacked SVD gives the singular values of all blocks of a shape
     cols = np.bincount(label.repeat(width), minlength=n_units)
     neq = np.bincount(plabel, minlength=n_units)
     shape = neq * (d * d + 1) + cols  # 0 for a unit that is not its block's smallest
@@ -178,18 +181,16 @@ def opm_solution_space(basis, group):
         n, c, rows = b1 - b0, cols[b0], height * neq[b0]
         if rows:
             stack = flat[start[b0]:start[b0] + n * rows * c].reshape(n, rows, c)
-            # R keeps the rows' singular values and row space, not rows x rows
-            r = np.linalg.qr(stack, mode="r")
-            svals = np.linalg.svd(r, compute_uv=False)
+            svals = np.linalg.svd(stack, compute_uv=False)
             top = max(top, svals[:, 0].max())
-            solved.append((r, svals, perm[col0[b0]:col0[b0] + n * c].reshape(n, c)))
+            solved.append((stack, svals, perm[col0[b0]:col0[b0] + n * c].reshape(n, c)))
     kept = []
-    for r, svals, where in solved:
+    for stack, svals, where in solved:
         # the whole system's singular values are the union of the blocks'
         rank = (svals > RANK_TOL * top).sum(1)
-        if rank.min() < r.shape[2]:  # some block of this shape has a nullspace
-            kept.append((r, rank, where))
-            dim += (r.shape[2] - rank).sum()
+        if rank.min() < stack.shape[2]:  # some block of this shape has a nullspace
+            kept.append((stack, rank, where))
+            dim += (stack.shape[2] - rank).sum()
     return HermitianSolutionSpace(
         group=group, local_dim=d, dim=int(dim), factors=factors, pairs=(i, j),
         build=partial(_basis_matrices, d, free, kept))
@@ -197,10 +198,12 @@ def opm_solution_space(basis, group):
 
 def _basis_matrices(d, free, kept):
     """The solution space's basis: the free coordinates' units, then per
-    kept stack the right singular vectors past each block's rank."""
+    kept stack the right singular vectors of its QR factor R past each
+    block's rank."""
     null = [np.eye(d * d, dtype=bool)[free]]
-    for r, rank, where in kept:
-        vt = np.linalg.svd(r)[2]
+    for stack, rank, where in kept:
+        # R keeps the rows' row space, not rows x rows
+        vt = np.linalg.svd(np.linalg.qr(stack, mode="r"))[2]
         keep = np.arange(vt.shape[1]) >= rank[:, None]
         part = np.zeros((keep.sum(), d * d))
         part[np.arange(len(part))[:, None], where.repeat(keep.sum(1), axis=0)] = vt[keep]

@@ -19,6 +19,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from gnpb.cli import main
 from gnpb.opm import classify
 
 GOLDEN = Path(__file__).resolve().parent / "golden_classify.json"
+ROOT = GOLDEN.parent.parent
 TRIPARTITE = [name for name in BUILTIN_BASES if len(get_basis(name).parties) == 3]
 CUTS = {name: "AB|C" if name in TRIPARTITE else "A|B" for name in BUILTIN_BASES}
 ARGVS = [
@@ -153,6 +156,34 @@ def test_builtin_reports_are_pinned(name):
 @pytest.mark.parametrize("case", sorted(ROTATED_DIGESTS), ids=str)
 def test_rotated_reports_are_pinned(case):
     assert report_digest(rotated(*case)) == ROTATED_DIGESTS[case]
+
+
+# classify the benchmark's rotated inputs; print what must not depend on threads
+THREADS_PROBE = """
+import json, workloads
+out = []
+for seed in (3, 11, 601):
+    for req in workloads.SETUP["classify_rotated"](seed).requests:
+        c = req.run()[1]
+        w = c.witness and [c.witness.group, sorted(sorted(s) for s in c.witness.survivors)]
+        out.append([req.label, seed, c.verdict, c.single_dims, list(c.merged_dims.values()), w])
+print(json.dumps(out))
+"""
+
+
+def test_rotated_classifications_do_not_depend_on_blas_threads():
+    """The witness effects do (ROADMAP item 1); its group and survivor sets
+    must not, nor the verdict and the dims."""
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+        procs.append(subprocess.Popen([sys.executable, "-B", "-c", THREADS_PROBE], cwd=ROOT,
+                                      env=env, stdout=subprocess.PIPE, text=True))
+    one, two = (json.loads(proc.communicate(timeout=120)[0]) for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(one) == 15 and sum(w is not None for *_, w in one) == 9
+    assert one == two
 
 
 if __name__ == "__main__":

@@ -13,8 +13,14 @@ identification totals and ledger rows (to 1e-12) and its set of
 (path, labels) leaves.  A classification must keep its verdict, its dims,
 its witness group and the sorted counts of states that each witness
 outcome eliminates.
+
+Classifications also go through every reordering of the party list, with
+the parties renamed X, Y, Z in their new places.  The verdict and the dims
+must be the same after the inverse renaming, and the witness must be an
+eliminating measurement of the first nontrivial group in the new order.
 """
 
+import itertools
 import zlib
 from functools import lru_cache
 
@@ -119,3 +125,37 @@ def _classified(name):
 def test_classification_is_invariant(transform, name):
     new, _ = _transformed(transform, get_basis(name), name)
     assert _classification(new) == _classified(name)
+
+
+def party_renamed(basis, order):
+    """The parties in ``order``, renamed X, Y, Z in their new places, and
+    each state's factors reordered to match; also the renaming."""
+    parties = [basis.parties[k] for k in order]
+    rename = {p: new for (p, _), new in zip(parties, "XYZ")}
+    states = [ProductState(st.label, tuple(st.factors[k] for k in order)) for st in basis.states]
+    return OrthoProductBasis(basis.name, [(rename[p], d) for p, d in parties], states), rename
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
+@pytest.mark.parametrize("name", TRIPARTITE)
+def test_classification_survives_renamed_parties(name, order):
+    basis = get_basis(name)
+    new, rename = party_renamed(basis, order)
+    want, got = classify(basis), classify(new)
+    back = {new_name: p for p, new_name in rename.items()}
+    assert got.verdict == want.verdict
+    assert {back[p]: d for p, d in got.single_dims.items()} == want.single_dims
+    assert ({frozenset(back[p] for p in g): d for g, d in got.merged_dims.items()}
+            == {frozenset(g): d for g, d in want.merged_dims.items()})
+    # the witness's candidate groups by their new names, which sort in the new order
+    if want.verdict == "TypeI":
+        dims = {(rename[p],): d for p, d in want.single_dims.items()}
+    else:
+        dims = {tuple(sorted(map(rename.get, g))): d for g, d in want.merged_dims.items()}
+    first = next((g for g in sorted(dims) if dims[g] > 1), None)
+    assert (got.witness and got.witness.group) == first
+    if got.witness:
+        assert any(got.witness.eliminated)
+    if order == (0, 1, 2):  # the same groups in the same order
+        counts = [c.witness and sorted(len(e) for e in c.witness.eliminated) for c in (got, want)]
+        assert counts[0] == counts[1]

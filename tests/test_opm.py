@@ -507,6 +507,25 @@ def test_classify_builds_the_basis_matrices_of_its_witness_only(name, monkeypatc
     assert len(builds) == (cert.verdict != "TypeIIb")
 
 
+# per classify: singular-value-only SVDs (one per block shape of each of the
+# 7 solves), and the QR + full SVD of each kept stack of the witness space
+LAPACK_CALLS = {"B_I_43": (33, 1), "B_II_43": (61, 3), "B_II_33": (12, 0),
+                "B_IIb_33": (12, 0), "shift_222": (18, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_classify_factorises_only_the_witness_stacks(name, monkeypatch):
+    basis, calls = get_basis(name), []
+    qr, svd = np.linalg.qr, np.linalg.svd
+    with monkeypatch.context() as m:  # only around classify: the helpers here call qr too
+        m.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+        m.setattr(np.linalg, "svd", lambda a, compute_uv=True: calls.append(
+            "svd" if compute_uv else "svals") or svd(a, compute_uv=compute_uv))
+        classify(basis)
+    svals, kept = LAPACK_CALLS[name]
+    assert (calls.count("svals"), calls.count("svd"), calls.count("qr")) == (svals, kept, kept)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_BASES))
 def test_real_factors_solve_as_the_complex_ones(name):
     """Real factors split each block into its symmetric and antisymmetric
