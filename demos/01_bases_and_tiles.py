@@ -23,7 +23,7 @@ print()
 print("=== the 27-state type-II basis, merged-pair view ===")
 rep = bases.render_tiles(bases.basis_II_33(), merged=("A", "B"))
 print(rep.text)
-multi = [g for g in rep.groups if g.n_cells > 1]
+multi = [g for g in rep.groups if len(g.rows) * len(g.cols) > 1]
 print(f"\n{len(multi)} multi-cell families splitting into "
       f"{sum(len(g.pieces) for g in multi)} contiguous pieces, "
       f"{len(rep.groups) - len(multi)} diagonal cells")
@@ -34,12 +34,13 @@ print(bases.render_tiles(bases.shift_upb_opb_222(), merged=("A", "B")).text)
 
 print()
 print("=== resource states and their per-cut entanglement ===")
-from gnpb.qstate import schmidt_ebits
+from gnpb.qstate import CompositeSpace, Ket, Subsystem, schmidt_ebits
 
 for kind in ("EPR", "EPR3", "GHZ", "W"):
     dims = bases.RESOURCE_KINDS[kind][0]
     labels = [f"r{i}" for i in range(len(dims))]
-    ket = bases.resource_ket(kind, labels, labels)
+    space = CompositeSpace(Subsystem(lbl, d, lbl) for lbl, d in zip(labels, dims))
+    ket = Ket(space, bases.resource_amplitudes(kind))
     ebits = schmidt_ebits(ket, (labels[0],))
     print(f"{kind:5s} on dims {dims}: {ebits:.6f} ebits across a single-party cut")
 print(f"(log2(3) = {np.log2(3):.6f}, log2(3)-2/3 = {np.log2(3)-2/3:.6f})")

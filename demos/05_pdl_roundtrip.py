@@ -1,10 +1,13 @@
 """The protocol description language: serialize, inspect, parse, verify.
 
-Every built-in protocol ships as a .pdl fixture under protocols/; this
-demo shows the text form is a faithful, reviewable encoding.
+Every built-in protocol is written once, as a .pdl fixture under
+protocols/; this demo shows the text form is a faithful, reviewable
+encoding, and that a mirrored outcome stands for its sibling's subtree
+with the named ancillas flipped.
 """
 
 from gnpb import pdl
+from gnpb.engine import conjugate_tree
 from gnpb.protocols import NamedProtocol, get_protocol
 
 proto = get_protocol("prop5_II33")
@@ -22,6 +25,14 @@ reparsed = NamedProtocol("reparsed", doc.basis, (), doc.root)
 print(f"re-serialization is a fixpoint:     {pdl.serialize(reparsed) == text}")
 report = reparsed.verify()
 print(f"parsed tree verifies:               {report.ok}")
+
+print()
+print("=== a mirrored outcome, written out ===")
+print(next(line.strip() for line in text.splitlines() if " mirror " in line))
+expanded = NamedProtocol(proto.name, doc.basis, (), conjugate_tree(doc.root, {}))
+print(f"{len(text.splitlines())} lines with the mirror, "
+      f"{len(pdl.serialize(expanded).splitlines())} written out; "
+      f"same report: {expanded.verify().to_dict() == proto.verify().to_dict()}")
 
 print()
 print("=== a parse error carries its source position ===")

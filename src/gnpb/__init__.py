@@ -17,11 +17,9 @@ _EXPORTS = {
     "bases": ("BUILTIN_BASES", "OrthoProductBasis", "basis_I_43", "basis_II_33",
               "basis_II_43", "basis_IIb_33", "bennett_npb_3x3", "check_basis",
               "get_basis", "render_tiles", "shift_upb_opb_222"),
-    "engine": ("ResourceLedger", "complete_by_symmetry", "leaf_verify", "verify_protocol"),
+    "engine": ("ResourceLedger", "leaf_verify", "verify_protocol"),
     "opm": ("GnpbClassification", "classify", "find_eliminating_opm", "opm_solution_space"),
-    "protocols": ("BUILTIN_PROTOCOLS", "NamedProtocol", "basis_I_43_protocol", "get_protocol",
-                  "prop5_protocol", "prop6_protocol", "prop7_protocol", "prop8_protocol",
-                  "remark2_protocol", "shift_upb_subprotocol"),
+    "protocols": ("BUILTIN_PROTOCOLS", "NamedProtocol", "get_protocol"),
     "qstate": ("CompositeSpace", "Ket", "Subsystem", "schmidt_ebits"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

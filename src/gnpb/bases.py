@@ -15,7 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .qstate import RANK_TOL, CompositeSpace, Ket, Subsystem, kron_rows, pairwise_max_overlap
+from .qstate import RANK_TOL, CompositeSpace, Subsystem, kron_rows, pairwise_max_overlap
 from .tree import RESOURCE_KINDS, TOL, KetExpr
 
 
@@ -314,17 +314,6 @@ def resource_amplitudes(kind):
     return v
 
 
-def resource_ket(kind, labels, owners):
-    """Resource state on fresh registers ``labels`` owned by ``owners``."""
-    dims = RESOURCE_KINDS[kind][0]
-    if len(labels) != len(dims) or len(owners) != len(dims):
-        raise ValueError(f"{kind} needs {len(dims)} registers")
-    space = CompositeSpace(
-        Subsystem(lbl, d, owner) for lbl, d, owner in zip(labels, dims, owners)
-    )
-    return Ket(space, resource_amplitudes(kind))
-
-
 # ---------------------------------------------------------------------------
 # tile rendering
 
@@ -338,10 +327,6 @@ class TileGroup:
     @property
     def is_rectangle(self):
         return len(self.pieces) == 1
-
-    @property
-    def n_cells(self):
-        return len(self.rows) * len(self.cols)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
 All numeric report fields print with 12 significant digits so golden files
 stay reproducible.  Each command imports only the modules it runs: ``bases``
-for a basis, ``opm`` for ``classify``, ``protocols`` for built-in protocols,
-``pdl`` for ``.pdl`` files and ``engine`` for ``verify`` and ``account``.
+for a basis, ``opm`` for ``classify``, ``pdl`` for ``.pdl`` files,
+``protocols`` (which parses a built-in's fixture with ``pdl``) for built-in
+protocols and ``engine`` for ``verify`` and ``account``.
 ``list``, ``--help``, usage errors and ``.pdl`` parse errors read only the
 numpy-free ``tree`` module, so they never load numpy.
 """
@@ -70,7 +71,7 @@ def _load_basis(ref):
     if path.suffix == ".json" and path.is_file():
         try:
             return bases.OrthoProductBasis.from_json(path.read_text(), name=path.stem)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read basis {path.name}: {exc}") from None
     raise UsageError(f"unknown basis {ref!r} (not a builtin, not a .json file)")
 

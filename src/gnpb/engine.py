@@ -35,6 +35,7 @@ from .tree import (
     Identify,
     Measure,
     MergeParties,
+    Mirror,
     PTerm,
 )
 
@@ -75,13 +76,15 @@ def materialize(effect, space, acted):
 
 
 # ---------------------------------------------------------------------------
-# symmetry completion
+# mirrored outcomes
 
 def conjugate_tree(node, perms):
-    """Conjugate every effect by per-register basis permutations.
+    """Conjugate every effect by per-register basis permutations, and expand
+    every :class:`~gnpb.tree.Mirror` child on the way.
 
     ``perms`` maps register names to index permutations (tuples); registers
-    not mentioned are untouched.  Leaves are unchanged: the same basis
+    not mentioned are untouched, so ``conjugate_tree(root, {})`` is the tree
+    with every mirror written out.  Leaves are unchanged: the same basis
     states flow down symmetric branches.
     """
     if isinstance(node, Measure):
@@ -100,10 +103,13 @@ def conjugate_tree(node, perms):
                         factors.append((name, tuple(k.permuted(perms[name]) for k in ks)))
                 terms.append(PTerm(tuple(factors)))
             new_effects.append(Effect(e.name, tuple(terms)))
-        children = {
-            k: conjugate_tree(v, perms) if v is not None else None
-            for k, v in node.children.items()
-        }
+        children = {}
+        for k, v in node.children.items():
+            if isinstance(v, Mirror):
+                v = conjugate_tree(node.children[v.outcome], _flipped(perms, v.registers))
+            elif v is not None:
+                v = conjugate_tree(v, perms)
+            children[k] = v
         return Measure(node.actor, tuple(new_effects), children)
     if isinstance(node, AttachResource):
         return AttachResource(node.kind, node.endpoints, node.labels,
@@ -114,35 +120,13 @@ def conjugate_tree(node, perms):
     return node
 
 
-FLIP = (1, 0)  # qubit bit-flip permutation
-
-
-def flip_sym(*registers):
-    """Symmetry that swaps |0> and |1> on the named qubit registers."""
-    return {r: FLIP for r in registers}
-
-
-def complete_by_symmetry(node, sym):
-    """Fill missing outcome branches of a measurement from its one finished
-    branch.
-
-    Every ``None`` child is replaced by the conjugation (under ``sym``) of
-    the finished outcome's subtree.  The completion is a claim, not a proof:
-    the completed protocol must still pass :func:`verify_protocol`.
-    """
-    if not isinstance(node, Measure):
-        raise TypeError("complete_by_symmetry expects a measurement node")
-    missing = [k for k, v in node.children.items() if v is None]
-    if not missing:
-        return node
-    done = [v for v in node.children.values() if v is not None]
-    if len(done) != 1:
-        raise ValueError(f"{len(done)} finished branches; symmetry completion needs one")
-    template = done[0]
-    children = dict(node.children)
-    for k in missing:
-        children[k] = conjugate_tree(template, sym)
-    return Measure(node.actor, node.effects, children)
+def _flipped(perms, registers):
+    """``perms`` applied after |0> <-> |1> on each of ``registers``."""
+    out = dict(perms)
+    for r in registers:
+        p = perms.get(r, (0, 1))
+        out[r] = (p[1], p[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +526,10 @@ class _Walk:
                               f"overlap {gram[i, j]:.3e}")
                     continue
             survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx], cols)
-            self.run(node.children.get(effect.name), space, survivors, resources,
-                     new_acted, f"{path}/{effect.name}")
+            child = node.children.get(effect.name)
+            if isinstance(child, Mirror):
+                child = conjugate_tree(node.children[child.outcome], _flipped({}, child.registers))
+            self.run(child, space, survivors, resources, new_acted, f"{path}/{effect.name}")
 
         # outcome probabilities must sum to one per incoming candidate
         for lbl, s in zip(cands.labels, out.sums.tolist()):

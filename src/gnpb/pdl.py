@@ -14,14 +14,19 @@ inverses on canonical text.
       Mb = rest
     } outcomes {
       M -> identify phi_0
-      Mb -> fail
+      Mb -> mirror M flip b1
     }
 
 Effect kets are restricted to computational levels and two-term
 (|i> +- |j>)/sqrt2 superpositions; a single ``rest`` effect per node
 denotes identity minus the sum of its siblings.  Conditional resources and
 party merges appear as ``attach ... { }`` and ``merge X -> Y cost <ebits>
-{ }`` nodes in the body.
+{ }`` nodes in the body.  An outcome ``Mb -> mirror M flip r ...`` is the
+subtree of its sibling outcome ``M`` with |0> and |1> swapped on each
+named qubit register in scope; ``M`` must not itself be a mirror, and the
+register list ends before the next outcome's ``name ->``.  It parses to a
+:class:`~gnpb.tree.Mirror` child, which :func:`gnpb.engine.conjugate_tree`
+expands.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .tree import (
     KetExpr,
     Measure,
     MergeParties,
+    Mirror,
     PTerm,
 )
 
@@ -286,6 +292,7 @@ class _Parser:
         self.keyword("outcomes")
         self.expect("LBRACE")
         children = {}
+        mirrors = []  # the target token of each mirror child
         while self.peek() != "RBRACE":
             out_tok = self.atom("outcome name")
             out = self.texts[out_tok]
@@ -294,12 +301,42 @@ class _Parser:
             if out in children:
                 self.error(f"duplicate outcome {out!r}", out_tok)
             self.expect("ARROW")
-            children[out] = self.node()
+            if self.at_keyword("mirror"):
+                target_tok, children[out] = self.mirror(effects)
+                mirrors.append(target_tok)
+            else:
+                children[out] = self.node()
         self.expect("RBRACE")
         missing = [e.name for e in effects if e.name not in children]
         if missing:
             self.error(f"non-exhaustive outcomes; missing {missing}")
+        for tok in mirrors:
+            if isinstance(children[self.texts[tok]], Mirror):
+                self.error(f"outcome {self.texts[tok]!r} is itself a mirror", tok)
         return Measure(actor, tuple(effects), children)
+
+    def mirror(self, effects):
+        """``mirror N flip r ...``: the token of ``N`` and the child.  The
+        register list ends before the next outcome's name and its arrow."""
+        self.keyword("mirror")
+        target_tok = self.atom("outcome name")
+        target = self.texts[target_tok]
+        if target not in (e.name for e in effects):
+            self.error(f"mirror of {target!r}, which names no outcome", target_tok)
+        self.keyword("flip")
+        registers = []
+        while True:
+            reg_tok = self.atom("register")
+            reg = self.texts[reg_tok]
+            if reg not in self.dims:
+                self.error(f"unknown register {reg!r}", reg_tok)
+            if self.dims[reg] != 2:
+                self.error(f"register {reg!r} is not a qubit (dim {self.dims[reg]})", reg_tok)
+            if reg in registers:
+                self.error(f"register {reg!r} flipped twice", reg_tok)
+            registers.append(reg)
+            if self.peek() != "ATOM" or self.kinds[self.pos + 1] == "ARROW":
+                return target_tok, Mirror(target, tuple(registers))
 
     def pexpr(self):
         tok = self.atom("P[...] term")
@@ -406,7 +443,11 @@ def _is_number(text):
 
 def parse(text):
     """Parse a PDL document; raises :class:`PdlError` with line/column."""
-    return _Parser(text).document()
+    parser = _Parser(text)
+    try:
+        return parser.document()
+    except RecursionError:
+        raise PdlError("nodes nested too deeply", *_position(text, parser.pos)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +487,8 @@ def _node_lines(node, indent):
         return [pad + f"distinguishable {{ {labels} }}"]
     if isinstance(node, Fail):
         return [pad + "fail"]
+    if isinstance(node, Mirror):
+        return [pad + f"mirror {node.outcome} flip {' '.join(node.registers)}"]
     if isinstance(node, AttachResource):
         head = (f"attach {node.kind}({','.join(node.endpoints)}) "
                 f"as {' '.join(node.labels)} {{")

@@ -1,7 +1,8 @@
 """The protocol vocabulary, free of numpy: kets, effects, tree nodes, names.
 
 A protocol is a finite tree of measurement, resource-attachment and
-party-merge nodes with per-outcome children; its effects are sums of
+party-merge nodes with per-outcome children, where an outcome child may
+be a :class:`Mirror` of a sibling's subtree; its effects are sums of
 ``P[...]`` product terms over :class:`KetExpr` kets.  This module holds
 those types and their builders, the resource kinds, the one comparison
 tolerance and the names of the built-in bases and protocols.  It imports
@@ -20,8 +21,8 @@ from math import log2
 TOL = 1e-9
 
 #: The built-in bases and protocols, in ``gnpb list`` order.
-#: ``bases.BUILTIN_BASES`` and ``protocols.BUILTIN_PROTOCOLS`` hold their
-#: builders under these names.
+#: ``bases.BUILTIN_BASES`` holds the bases' builders and
+#: ``protocols.BUILTIN_PROTOCOLS`` the protocols' declared budgets under these names.
 BASIS_NAMES = ("bennett_3x3", "B_I_43", "B_II_43", "B_II_33", "B_IIb_33", "shift_222")
 PROTOCOL_NAMES = ("prop5_II33", "prop5_IIb33", "prop6", "prop7", "prop8", "remark2",
                   "typeI_43", "shift_BC", "shift_AB", "shift_CA")
@@ -210,6 +211,16 @@ class Distinguishable:
 @dataclass
 class Fail:
     pass
+
+
+@dataclass(frozen=True)
+class Mirror:
+    """An outcome child that repeats sibling outcome ``outcome``'s subtree
+    with |0> and |1> swapped on the qubit ``registers``;
+    :func:`gnpb.engine.conjugate_tree` expands it."""
+
+    outcome: str
+    registers: tuple
 
 
 def measure(actor, effects, children):

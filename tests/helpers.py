@@ -1,6 +1,7 @@
 """Checks that only the tests run: a static path analysis of protocol trees
 and local irreducibility over a party partition."""
 
+from gnpb.engine import conjugate_tree
 from gnpb.opm import opm_solution_space
 from gnpb.qstate import Ket
 from gnpb.tree import AttachResource, Distinguishable, Fail, Identify, MergeParties
@@ -29,7 +30,7 @@ def resource_cuts_per_path(root):
         for name, child in node.children.items():
             walk(child, cuts, path + "/" + name)
 
-    walk(root, set(), "root")
+    walk(conjugate_tree(root, {}), set(), "root")
     return out
 
 

@@ -3,9 +3,11 @@
 Each basis state is one flat amplitude vector over the whole space.  An
 effect is a ``np.kron`` of projectors from ``KetExpr.vector``, a remainder is
 the identity minus its siblings, and both act with ``np.tensordot`` on the
-acted axes: no support columns, index tables or memoised matrices.  Leaves
-call :func:`gnpb.engine.leaf_verify` on dense kets, so this walk shares the
-strategy search with the engine and does not check it.
+acted axes: no support columns, index tables or memoised matrices.  The
+tree is walked with every mirror child written out by
+:func:`gnpb.engine.conjugate_tree`.  Leaves call :func:`gnpb.engine.leaf_verify`
+on dense kets, so this walk shares the strategy search with the engine and
+does not check it.
 """
 
 from functools import reduce
@@ -14,7 +16,7 @@ from math import log2, prod
 import numpy as np
 
 from gnpb.bases import resource_amplitudes
-from gnpb.engine import leaf_verify
+from gnpb.engine import conjugate_tree, leaf_verify
 from gnpb.qstate import RANK_TOL, Ket, Subsystem
 from gnpb.tree import (
     RESOURCE_KINDS, TOL, AttachResource, Distinguishable, Fail, Identify, Measure, MergeParties)
@@ -39,7 +41,7 @@ class ReferenceWalk:
         self.identification = {lbl: 0.0 for lbl in basis.labels}
         states = [(s.label, reduce(np.kron, s.factors), 1.0) for s in basis.states]
         try:
-            self.run(root, basis.space(), states, [], frozenset(), "root")
+            self.run(conjugate_tree(root, {}), basis.space(), states, [], frozenset(), "root")
         except (KeyError, ValueError):
             self.failures.add(("root", "execution-error"))
         if any(not abs(p - 1.0) <= tol for p in self.identification.values()):

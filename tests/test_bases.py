@@ -18,10 +18,10 @@ from gnpb.bases import (
     check_basis,
     get_basis,
     render_tiles,
-    resource_ket,
+    resource_amplitudes,
     shift_upb_opb_222,
 )
-from gnpb.qstate import schmidt_ebits
+from gnpb.qstate import CompositeSpace, Ket, Subsystem, schmidt_ebits
 from gnpb.tree import KetExpr
 
 from .test_golden_classify import rotated
@@ -208,42 +208,47 @@ def test_empty_basis_has_an_empty_joint_matrix():
 def test_resource_entropies(kind, cut_ebits):
     dims, declared = RESOURCE_KINDS[kind][:2]
     labels = [f"r{i}" for i in range(len(dims))]
-    ket = resource_ket(kind, labels, labels)
+    space = CompositeSpace(Subsystem(lbl, d, lbl) for lbl, d in zip(labels, dims))
+    ket = Ket(space, resource_amplitudes(kind))
     for lbl in labels:
         assert schmidt_ebits(ket, (lbl,)) == pytest.approx(cut_ebits, abs=1e-9)
     assert declared == pytest.approx(cut_ebits)
+
+
+def _cells(group):
+    return len(group.rows) * len(group.cols)
 
 
 def test_tiles_bennett_dominoes():
     rep = render_tiles(bennett_npb_3x3(), merged=("A",))
     assert (rep.n_rows, rep.n_cols) == (3, 3)
     assert len(rep.groups) == 5  # four dominoes plus the center cell
-    dominoes = [g for g in rep.groups if g.n_cells == 2]
-    single = [g for g in rep.groups if g.n_cells == 1]
+    dominoes = [g for g in rep.groups if _cells(g) == 2]
+    single = [g for g in rep.groups if _cells(g) == 1]
     assert len(dominoes) == 4 and len(single) == 1
     assert single[0].labels == ("11",)
     assert all(g.is_rectangle for g in rep.groups)
     # the five tiles partition the grid
-    assert sum(g.n_cells for g in rep.groups) == 9
+    assert sum(_cells(g) for g in rep.groups) == 9
 
 
 def test_tiles_II_33_cut_AB_C():
     rep = render_tiles(basis_II_33(), merged=("A", "B"))
     assert (rep.n_rows, rep.n_cols) == (9, 3)
     assert len(rep.groups) == 9    # six twist families plus three diagonal cells
-    multi = [g for g in rep.groups if g.n_cells > 1]
-    single = [g for g in rep.groups if g.n_cells == 1]
+    multi = [g for g in rep.groups if _cells(g) > 1]
+    single = [g for g in rep.groups if _cells(g) == 1]
     assert len(multi) == 6 and len(single) == 3
     # contiguous-run decomposition of the multi-cell families
     assert sum(len(g.pieces) for g in multi) == 10
-    assert sum(g.n_cells for g in rep.groups) == 27
+    assert sum(_cells(g) for g in rep.groups) == 27
 
 
 def test_tiles_shift_4x2():
     rep = render_tiles(shift_upb_opb_222(), merged=("A", "B"))
     assert (rep.n_rows, rep.n_cols) == (4, 2)
-    assert sum(g.n_cells for g in rep.groups) == 8
-    assert {g.labels for g in rep.groups if g.n_cells == 1} == {("000",), ("111",)}
+    assert sum(_cells(g) for g in rep.groups) == 8
+    assert {g.labels for g in rep.groups if _cells(g) == 1} == {("000",), ("111",)}
 
 
 def test_tiles_text_contains_grid_and_legend():

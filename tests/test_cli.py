@@ -171,6 +171,10 @@ DIM_ZERO = json.dumps({"parties": [{"name": "A", "dim": 0}, {"name": "B", "dim":
                        "states": [{"label": "s", "factors": [[], [[1, 0], [0, 0]],
                                                              [[1, 0], [0, 0]]]}]})
 NO_PARTY = json.dumps({"parties": [], "states": []})
+# nested past the interpreter's recursion limit: 600 measurements, 100 000 '['
+DEEP_PDL = ("parties { A:2 B:2 C:2 }\nbasis shift_222\n"
+            + "measure by A { E = rest } outcomes { E -> " * 600 + "fail" + " }" * 600).encode()
+DEEP_JSON = "[" * 100_000
 NO_PARTY_ONE_STATE = json.dumps({"parties": [], "states": [{"label": "s", "factors": []}]})
 ONE_PARTY = json.dumps({"parties": [{"name": "A", "dim": 2}],
                         "states": [{"label": f"s{i}", "factors": [f]}
@@ -226,6 +230,8 @@ ONE_PARTY = json.dumps({"parties": [{"name": "A", "dim": 2}],
     pytest.param(("classify", "DIR.json"), None, id="classify-directory"),
     pytest.param(("tiles", "DIR.json", "--cut", "AB|C"), None, id="tiles-directory"),
     pytest.param(("verify", "FILE"), b"parties { A:3 \xff }", id="verify-not-utf8"),
+    pytest.param(("verify", "FILE"), DEEP_PDL, id="verify-deep-nesting"),
+    pytest.param(("check-basis", "FILE"), DEEP_JSON, id="check-basis-deep-nesting"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
     # FILE holds the document (a .pdl one when given as bytes); DIR.* are directories
@@ -239,7 +245,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, document):
     paths = {"FILE": path, "DIR.pdl": tmp_path / "DIR.pdl", "DIR.json": tmp_path / "DIR.json"}
     code, out, err = run(capsys, *(str(paths[a]) if a in paths else a for a in argv))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # a .pdl file that does not parse is the one kind reported as a parse error
+    assert err.startswith("parse error: " if document is DEEP_PDL else "error: ")
+    assert err.count("\n") == 1
 
 
 def test_catalogue_names_the_builders():

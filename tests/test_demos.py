@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# make_fixtures.py is left out: it rewrites protocols/
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 

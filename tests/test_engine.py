@@ -14,9 +14,7 @@ from gnpb.bases import (
     resource_amplitudes,
 )
 from gnpb.engine import (
-    complete_by_symmetry,
     conjugate_tree,
-    flip_sym,
     leaf_verify,
     materialize,
     verify_protocol,
@@ -32,6 +30,7 @@ from gnpb.tree import (
     KetExpr,
     Measure,
     MergeParties,
+    Mirror,
     P,
     eff,
     measure,
@@ -174,57 +173,62 @@ def test_leaf_verify_single_state():
 
 
 # ---------------------------------------------------------------------------
-# symmetry completion
+# mirrored outcomes
 
 def test_identity_symmetry_leaves_tree_unchanged():
     proto = get_protocol("prop6")
-    same = conjugate_tree(proto.root, {})
-    assert same == proto.root
+    expanded = conjugate_tree(proto.root, {})
+    assert expanded != proto.root  # the two mirror children are written out
+    assert conjugate_tree(expanded, {}) == expanded
     ident = {"a1": (0, 1), "b1": (0, 1)}
-    assert conjugate_tree(proto.root, ident) == proto.root
+    assert conjugate_tree(proto.root, ident) == expanded
 
 
-def test_complete_by_symmetry_fills_missing_branch():
-    node = measure(
+def _tagged(child):
+    """E0 keeps |0> on x, E1 repeats E0's child with x flipped."""
+    return measure(
         "A",
         (eff("E0", P(A=0, x=0), P(A=1, x=1)), rest("E1")),
-        {"E0": Identify("s"), "E1": None},
+        {"E0": child, "E1": Mirror("E0", ("x",))},
     )
-    done = complete_by_symmetry(node, flip_sym("x"))
-    assert done.children["E1"] == Identify("s")
-    assert done.children["E0"] == Identify("s")
 
 
-def test_complete_by_symmetry_noop_when_complete():
-    node = measure("A", (eff("E", P(A=[0, 1])),), {"E": Identify("s")})
-    assert complete_by_symmetry(node, flip_sym("x")) == node
+def test_conjugate_tree_expands_mirror_children():
+    inner = measure("A", (eff("T", P(x=0)), rest("Tb")), {"T": Identify("s"), "Tb": Fail()})
+    flipped = measure("A", (eff("T", P(x=1)), rest("Tb")), {"T": Identify("s"), "Tb": Fail()})
+    done = conjugate_tree(_tagged(inner), {})
+    assert done.effects == _tagged(inner).effects
+    assert done.children == {"E0": inner, "E1": flipped}
+    # an outer flip of x composes with the mirror's: E1 holds E0's child as written
+    outer = conjugate_tree(_tagged(inner), {"x": (1, 0)})
+    assert outer.children == {"E0": flipped, "E1": inner}
 
 
 def test_conjugation_flips_ancilla_values():
     term = P(A=[0, 1], a1=1)
     node = measure("A", (eff("K", term), rest("Kb")),
                    {"K": Identify("s"), "Kb": Fail()})
-    flipped = conjugate_tree(node, flip_sym("a1"))
+    flipped = conjugate_tree(node, {"a1": (1, 0)})
     (reg_a, ks_a), (reg_t, ks_t) = flipped.effects[0].terms[0].factors
     assert reg_t == "a1" and ks_t == (KetExpr(0),)
     assert reg_a == "A" and ks_a == (KetExpr(0), KetExpr(1))
 
 
 def test_tampered_symmetry_fails_verification():
-    """Completing with the wrong flip must be caught by the engine."""
-    from gnpb.protocols import prop6_protocol
-
-    proto = prop6_protocol()
-    # rebuild with a deliberately wrong symmetry on the outer branch
-    good = proto.root
-    m_node = good.child.child
-    bad_mb = conjugate_tree(m_node.children["M"], flip_sym("a2", "c1"))  # wrong pair
-    tampered = Measure(m_node.actor, m_node.effects,
-                       {"M": m_node.children["M"], "Mb": bad_mb})
-    root = AttachResource("EPR", ("A", "B"), ("a1", "b1"),
-                          AttachResource("EPR", ("A", "C"), ("a2", "c1"), tampered))
-    report = verify_protocol(root, get_basis("B_II_33"), "tampered")
-    assert not report.ok
+    """A mirror with the wrong flips must be caught by the engine."""
+    proto = get_protocol("prop6")
+    m_node = proto.root.child.child
+    assert m_node.children["Mb"] == Mirror("M", ("a1", "b1"))
+    # b1 is restricted only above the mirror, so flipping a1 alone is the right
+    # mirror too; leaving a1 unflipped or flipping the other pair is not
+    for flips in (("a2", "c1"), ("b1",)):
+        tampered = Measure(m_node.actor, m_node.effects,
+                           {"M": m_node.children["M"], "Mb": Mirror("M", flips)})
+        root = AttachResource("EPR", ("A", "B"), ("a1", "b1"),
+                              AttachResource("EPR", ("A", "C"), ("a2", "c1"), tampered))
+        report = verify_protocol(root, get_basis("B_II_33"), "tampered")
+        assert not report.ok, flips
+    assert verify_protocol(proto.root, get_basis("B_II_33"), "prop6").ok
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def test_ledger_monotone_under_attach_removal(name):
     proto = get_protocol(name)
     base = verify_protocol(proto.root, proto.basis(), name).ledger
     base_total = base.total_ebits + base.ghz_distribution_bound_ebits
-    for stripped in _strip_one_attach(proto.root):
+    for stripped in _strip_one_attach(conjugate_tree(proto.root, {})):
         report = verify_protocol(stripped, proto.basis(), name + "-stripped")
         if report.ok:
             total = (report.ledger.total_ebits

@@ -175,7 +175,7 @@ PARSE_ERRORS = {
     "bad-character": (lambda: _broken("prop5_II33.pdl", "K2 = P[A:{1}", "K2 = P[A:{1@"),
                       "parse error: 13:20: unexpected character '@'\n"),
     "missing-brace": (lambda: _broken("prop7.pdl", "\n}\n", "\n"),
-                      "parse error: 1015:1: expected outcome name, found ''\n"),
+                      "parse error: 267:1: expected outcome name, found ''\n"),
     "bad-ket": (lambda: _broken("prop8.pdl", "{0}", "{x}"),
                 "parse error: 6:21: expected a ket, found 'x'\n"),
     "bad-superposition": (lambda: _broken("remark2.pdl", "{(0+1)/sqrt2}", "{(0+1)/sqrt3}"),

@@ -61,7 +61,8 @@ NO_NUMPY_EXTRAS = {"numpy.ma", "numpy.random"}
 @pytest.mark.parametrize("argv, absent", [
     (("verify", "protocols/prop7.pdl"), {"gnpb.opm", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
     (("account", "protocols/remark2.pdl"), {"gnpb.opm", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
-    (("verify", "prop5_II33"), {"gnpb.opm", "gnpb.pdl", *NO_NUMPY_EXTRAS}),
+    # a built-in protocol is parsed from its fixture
+    (("verify", "prop5_II33"), {"gnpb.opm", *NO_NUMPY_EXTRAS}),
     (("classify", "shift_222"), {"gnpb.engine", "gnpb.pdl", "gnpb.protocols", *NO_NUMPY_EXTRAS}),
     (("check-basis", "shift_222"), {"gnpb.engine", "gnpb.opm", "gnpb.pdl", "gnpb.protocols"}),
     (("tiles", "B_II_33", "--cut", "AB|C"),

@@ -2,7 +2,8 @@
 
 Random trees on the built-in bases mix measurements with computational and
 (|i> +- |j>)/sqrt2 kets on registers the actor holds (with or without a
-``rest`` effect), EPR/GHZ attachments with fresh labels, merges with random
+``rest`` effect, and with outcomes that mirror the first one under flips of
+qubit registers), EPR/GHZ attachments with fresh labels, merges with random
 costs and random leaves.  Most of them fail verification; what must hold is
 that every failure is a documented kind, that the PDL text of the tree
 parses back to the same tree, and that ``gnpb verify`` exits 0, 1 or 2.
@@ -32,6 +33,7 @@ from gnpb.tree import (
     KetExpr,
     Measure,
     MergeParties,
+    Mirror,
     PTerm,
 )
 
@@ -93,6 +95,11 @@ def trees(draw, labels, held, depth):
         if draw(st.booleans()):
             effects[-1:] = [Effect("R", None)]
         children = {e.name: draw(trees(labels, held, depth - 1)) for e in effects}
+        qubits = sorted(r for regs in held.values() for r, d in regs.items() if d == 2)
+        for e in effects[1:]:
+            if qubits and draw(st.booleans()):
+                flips = draw(st.lists(st.sampled_from(qubits), min_size=1, unique=True))
+                children[e.name] = Mirror(effects[0].name, tuple(flips))
         return Measure(actor, tuple(effects), children)
     options = [k for k in ("EPR", "GHZ") if len(RESOURCE_KINDS[k][0]) <= len(parties)]
     if kind == "attach" and options:

@@ -1,5 +1,6 @@
 """Protocol description language: round trips, diagnostics, fuzzing."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnpb import pdl
-from gnpb.engine import materialize
+from gnpb.engine import conjugate_tree, materialize
 from gnpb.protocols import BUILTIN_PROTOCOLS, NamedProtocol, get_protocol
 from gnpb.qstate import CompositeSpace, Subsystem
 
@@ -51,8 +52,34 @@ def test_serialize_is_canonical_fixpoint(name):
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))
 def test_shipped_fixture_is_current(name):
     path = FIXTURES / f"{name}.pdl"
-    assert path.exists(), f"fixture {path} missing; regenerate with demos/make_fixtures.py"
+    assert path.exists(), f"fixture {path} missing"
     assert path.read_text() == pdl.serialize(get_protocol(name))
+
+
+#: sha256 of each fixture with every mirror outcome written out, as the
+#: fixtures were shipped before mirror outcomes existed
+EXPANDED_SHA256 = {
+    "prop5_II33": "bd6b81e930a842302f900dbd009412be1feb3636716c1a3f780bd7116742db57",
+    "prop5_IIb33": "58340ff8309d79741ce8f62b2ceb12d577fb1edc12231e05f0e80c955cfbac43",
+    "prop6": "753ce73a19b3f418bbecfbf72b3d0a4b56ec979d4a38261a24631f61f2c9cf8d",
+    "prop7": "b371304cf72664775ffcc180dce27ad86ee5defd2893ce878143e3bddaab43f2",
+    "prop8": "aa7c3f09f674c770afcfcd7383f1f393c25f92e9504f8e67d19e25a507485fbb",
+    "remark2": "60cec43ba0356edba47ab02b8cc65f4fd31d2e68f18c08c0ec7a1b6bce92d354",
+    "typeI_43": "0a9cd7c05b3407d745874ef0b9398d922950229b0af89247f530a5d2eca26e50",
+    "shift_BC": "4038e2a721fbac54e81ace32ff84870a9023c0ec959dcf817fffa12a02d5eae2",
+    "shift_AB": "c93c7489cc27f9d2229b30759cb6784c55974b30085590e122de2e5721d7e363",
+    "shift_CA": "14e93b21aa7898ba0cd681824163909aacd5fb9b5e9dce5d1d604a54e4982b38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PROTOCOLS))
+def test_expanded_fixture_is_pinned(name):
+    proto = get_protocol(name)
+    expanded = NamedProtocol(name, proto.basis_name, proto.declared,
+                             conjugate_tree(proto.root, {}))
+    text = pdl.serialize(expanded)
+    assert "mirror" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPANDED_SHA256[name]
 
 
 def test_fixture_resource_lines():
@@ -83,6 +110,11 @@ def test_parsed_protocol_verifies():
     assert proto.verify().ok
 
 
+# a measurement whose outcomes block each case below completes
+MIRRORED = ("parties { A:3 B:2 }\nbasis b\nresource EPR(A,B) as a b\n"
+            "measure by A { E = P[A:{0}] F = rest } outcomes {\n")
+
+
 @pytest.mark.parametrize("broken,message", [
     ("", "expected keyword 'parties'"),
     ("parties { A:3 }\nbasis b\n", "expected a node"),
@@ -107,6 +139,16 @@ def test_parsed_protocol_verifies():
     ("parties { A:² }\nbasis b\nfail", "expected dimension, found '²'"),
     ("parties { A:3 }\nbasis b\nmeasure by A { E = P[A:{²}] } outcomes { E -> fail }",
      "expected a ket, found '²'"),
+    # mirror outcomes, each error at the offending token's line and column
+    (MIRRORED + "  E -> fail F -> mirror Z flip a\n}", "5:25: mirror of 'Z', which names no outcome"),
+    (MIRRORED + "  E -> mirror F flip a\n  F -> mirror E flip a\n}",
+     "5:15: outcome 'F' is itself a mirror"),
+    (MIRRORED + "  E -> fail F -> mirror F flip a\n}", "5:25: outcome 'F' is itself a mirror"),
+    (MIRRORED + "  E -> fail F -> mirror E flip a z\n}", "5:34: unknown register 'z'"),
+    (MIRRORED + "  E -> fail F -> mirror E flip A\n}", "5:32: register 'A' is not a qubit (dim 3)"),
+    (MIRRORED + "  E -> fail\n  F -> mirror E flip b b\n}", "6:24: register 'b' flipped twice"),
+    (MIRRORED + "  E -> fail F -> mirror E flip\n}", "6:1: expected register, found '}'"),
+    ("parties { A:3 }\nbasis b\nmirror E flip A", "3:1: unknown node keyword 'mirror'"),
 ])
 def test_parse_errors_carry_position(broken, message):
     with pytest.raises(pdl.PdlError) as err:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnpb.bases import get_basis
-from gnpb.engine import leaf_verify, materialize, verify_protocol
+from gnpb.engine import conjugate_tree, leaf_verify, materialize, verify_protocol
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL, born
 from gnpb.tree import Distinguishable, Identify
@@ -303,7 +303,7 @@ def test_every_distinguishable_leaf_has_strategy():
     for name in sorted(BUILTIN_PROTOCOLS):
         report = get_protocol(name).verify()
         assert report.ok
-        declared = _count_distinguishable_leaves(get_protocol(name).root)
+        declared = _count_distinguishable_leaves(conjugate_tree(get_protocol(name).root, {}))
         assert len(report.leaf_strategies) >= declared > 0
 
 
