@@ -34,13 +34,12 @@ print(bases.render_tiles(bases.shift_upb_opb_222(), merged=("A", "B")).text)
 
 print()
 print("=== resource states and their per-cut entanglement ===")
-from gnpb.qstate import CompositeSpace, Ket, Subsystem, schmidt_ebits
+from gnpb.qstate import CompositeSpace, Subsystem, schmidt_ebits
 
 for kind in ("EPR", "EPR3", "GHZ", "W"):
     dims = bases.RESOURCE_KINDS[kind][0]
     labels = [f"r{i}" for i in range(len(dims))]
     space = CompositeSpace(Subsystem(lbl, d, lbl) for lbl, d in zip(labels, dims))
-    ket = Ket(space, bases.resource_amplitudes(kind))
-    ebits = schmidt_ebits(ket, (labels[0],))
+    ebits = schmidt_ebits(space, bases.resource_amplitudes(kind), (labels[0],))
     print(f"{kind:5s} on dims {dims}: {ebits:.6f} ebits across a single-party cut")
 print(f"(log2(3) = {np.log2(3):.6f}, log2(3)-2/3 = {np.log2(3)-2/3:.6f})")

@@ -20,7 +20,7 @@ _EXPORTS = {
     "engine": ("ResourceLedger", "leaf_verify", "verify_protocol"),
     "opm": ("GnpbClassification", "classify", "find_eliminating_opm", "opm_solution_space"),
     "protocols": ("BUILTIN_PROTOCOLS", "NamedProtocol", "get_protocol"),
-    "qstate": ("CompositeSpace", "Ket", "Subsystem", "schmidt_ebits"),
+    "qstate": ("CompositeSpace", "Subsystem", "schmidt_ebits"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

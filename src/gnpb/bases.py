@@ -47,7 +47,6 @@ class OrthoProductBasis:
                 if len(f) != d:
                     raise ValueError(f"state {st.label!r}: factor for {pname} has wrong dim")
         self.states = tuple(states)
-        self._by_label = {st.label: st for st in self.states}
 
     def __len__(self):
         return len(self.states)
@@ -62,12 +61,6 @@ class OrthoProductBasis:
     @property
     def total_dim(self):
         return prod(d for _, d in self.parties)
-
-    def state(self, label):
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise KeyError(f"no state labeled {label!r} in basis {self.name}") from None
 
     def space(self):
         """Composite space of the principal registers (one per party)."""

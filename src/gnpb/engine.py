@@ -227,29 +227,22 @@ def _split_recursive(idxs, labels, close, party_order):
     return None
 
 
-def leaf_verify(states, ignore=(), tol=TOL):
+def leaf_verify(labels, stack, cols, space, ignore=(), tol=TOL, memo=None):
     """Search for a sequential local strategy distinguishing product states.
 
-    ``states`` is a list of ``(label, Ket)`` on a shared space; each party
-    holds the registers it owns.  Returns a strategy tree, or None when the
-    states are not all product across parties (after detaching the
-    ``ignore`` registers, which must carry one shared state) or no sequence
-    of orthogonal-subspace splits separates them (local factors overlap
-    above ``10 * tol``).  The check is sufficient, never complete.
+    ``stack`` is an ``(n, C)`` array of the states ``labels`` over ``space``
+    whose column j holds flat index ``cols[j]`` (distinct, in any order);
+    every other amplitude is zero.  Each party holds the registers it owns.
+    Returns a strategy tree, or None when the states are not all product
+    across parties (after detaching the ``ignore`` registers, which must
+    carry one shared state) or no sequence of orthogonal-subspace splits
+    separates them (local factors overlap above ``10 * tol``).  The check is
+    sufficient, never complete.  ``memo``, a dict the caller may keep, holds
+    the index tables and, per ``(space, ignored registers)``, the party groups.
     """
-    if not states:
+    if not labels:
         return StrategyNode((), None, ())
-    space = states[0][1].space
-    stack = np.array([k.amplitudes for _, k in states])
-    cols = np.flatnonzero((stack != 0).any(axis=0))
-    return _strategy([lbl for lbl, _ in states], stack[:, cols], cols, space, ignore, tol, {})
-
-
-def _strategy(labels, stack, cols, space, ignore, tol, memo):
-    """:func:`leaf_verify` of the nonempty ``(n, C)`` ``stack`` whose
-    columns hold the flat indices ``cols`` of ``space``; ``memo`` keeps the
-    index tables and, per ``(space, ignored registers)``, the party groups
-    and their dims."""
+    memo = {} if memo is None else memo
     drop = tuple(n for n in space.names if n in ignore)
     key = ("parties", space, drop)
     if key not in memo:
@@ -562,9 +555,8 @@ class _Walk:
                       f"declared {sorted(node.labels)}, surviving {sorted(got)}")
             return
         untouched = [lbl for r in resources if r not in acted_keys for lbl in r[2]]
-        strategy = (_strategy(labels, cands.stack, cands.cols, space, untouched, self.tol,
-                              self.tables)
-                    if labels else StrategyNode((), None, ()))
+        strategy = leaf_verify(labels, cands.stack, cands.cols, space, untouched, self.tol,
+                               self.tables)
         if strategy is None:
             self.fail(path, "leaf-indistinguishable",
                       f"no splitting strategy for {sorted(got)}")

@@ -70,10 +70,6 @@ class HermitianSolutionSpace:
         only their first read factorises the kept stacks."""
         return self.build()
 
-    @property
-    def nontrivial(self):
-        return self.dim > 1
-
     def satisfies(self, matrix):
         """Check the OPM constraints directly for one Hermitian matrix, or
         for all of a ``(k, d, d)`` stack at once."""
@@ -280,7 +276,7 @@ def find_eliminating_opm(basis, group):
     eliminating projective measurement.
     """
     space = opm_solution_space(basis, group)
-    if not space.nontrivial:
+    if not space.dim > 1:
         return None
     labels = np.array(basis.labels, dtype=object)
     d = space.local_dim

@@ -136,22 +136,6 @@ class CompositeSpace:
         return np.transpose(shaped, inverse).reshape(lead + (self.dim,))
 
 
-class Ket:
-    """A pure state: flat amplitudes over a composite space (real or complex)."""
-
-    def __init__(self, space, amplitudes):
-        amps = np.asarray(amplitudes)
-        amps = amps.astype(np.result_type(amps, float)).reshape(-1)  # a copy
-        if amps.shape != (space.dim,):
-            raise ValueError(f"amplitude length {amps.shape[0]} != space dim {space.dim}")
-        amps.setflags(write=False)
-        self.space = space
-        self.amplitudes = amps
-
-    def __repr__(self):
-        return f"Ket(dim={self.space.dim})"
-
-
 class Born(NamedTuple):
     """Outcome of :func:`born`: E effects applied to a stack of n states."""
 
@@ -248,19 +232,18 @@ def born(space, acted, matrices, stack, cols, memo, tol):
     return Born(probs, probs.sum(axis=0), survivors, posts())
 
 
-def schmidt_ebits(state, cut):
+def schmidt_ebits(space, amplitudes, cut):
     """Base-2 entanglement entropy of a normalized pure state across a cut.
 
-    ``cut`` names the subsystems on one side; the other side is the rest.
+    ``amplitudes`` is the state's flat vector over ``space``; ``cut`` names
+    the subsystems on one side, and the other side is the rest.
     """
-    if not abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-6:
+    if not abs(np.linalg.norm(amplitudes) - 1.0) < 1e-6:
         raise ValueError("schmidt_ebits expects a normalized state")
     names = set(cut)
-    all_names = set(state.space.names)
-    if not names or not names < all_names:
+    if not names or not names < set(space.names):
         raise ValueError("cut must be a proper nonempty subset of subsystem names")
-    mat = state.space.split_axes(tuple(n for n in state.space.names if n in names),
-                                 state.amplitudes)
+    mat = space.split_axes(tuple(n for n in space.names if n in names), amplitudes)
     svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals**2
     probs = probs[probs > TOL]

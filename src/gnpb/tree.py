@@ -4,9 +4,9 @@ A protocol is a finite tree of measurement, resource-attachment and
 party-merge nodes with per-outcome children, where an outcome child may
 be a :class:`Mirror` of a sibling's subtree; its effects are sums of
 ``P[...]`` product terms over :class:`KetExpr` kets.  This module holds
-those types and their builders, the resource kinds, the one comparison
-tolerance and the names of the built-in bases and protocols.  It imports
-no numpy, so parsing and serializing ``.pdl`` text, ``gnpb list`` and
+those types, the resource kinds, the one comparison tolerance and the
+names of the built-in bases and protocols.  It imports no numpy, so
+parsing and serializing ``.pdl`` text (:mod:`gnpb.pdl`), ``gnpb list`` and
 every usage error start fast; :mod:`gnpb.engine` runs the trees.
 """
 
@@ -72,6 +72,10 @@ class KetExpr:
         return v
 
     def permuted(self, perm):
+        """The ket with every level ``l`` replaced by ``perm[l]``."""
+        levels = (self.i,) if self.j is None else (self.i, self.j)
+        if not all(0 <= lvl < len(perm) for lvl in levels):
+            raise ValueError(f"ket levels {levels} lie outside the level permutation {perm}")
         if self.j is None:
             return KetExpr(perm[self.i])
         return KetExpr(perm[self.i], perm[self.j], self.sign)
@@ -79,28 +83,6 @@ class KetExpr:
 
 # ---------------------------------------------------------------------------
 # projector expressions (the P[...] calculus used by all protocols)
-
-def kets(spec):
-    """Normalize a factor spec to a tuple of KetExpr (or None for identity)."""
-    if spec == "I" or spec is None:
-        return None
-    if not isinstance(spec, (list, tuple)) or (
-        isinstance(spec, tuple) and len(spec) == 3 and all(isinstance(x, int) for x in spec)
-    ):
-        spec = [spec]
-    out = []
-    for k in spec:
-        if isinstance(k, KetExpr):
-            out.append(k)
-        elif isinstance(k, int):
-            out.append(KetExpr(k))
-        elif isinstance(k, tuple) and len(k) == 3:
-            i, s, j = k
-            out.append(KetExpr(i, j, s))
-        else:
-            raise ValueError(f"bad ket spec {k!r}")
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class PTerm:
@@ -115,15 +97,6 @@ class PTerm:
         return tuple(name for name, ks in self.factors if ks is not None)
 
 
-def P(**factors):
-    """Build a product term, e.g. ``P(B=[0,1], b1=0)`` or ``P(C=(1, 1, 2))``.
-
-    Values: an int (computational ket), a 3-tuple ``(i, sign, j)`` for
-    (|i> + sign|j>)/sqrt2, a list of those, or "I" for an explicit identity.
-    """
-    return PTerm(tuple((name, kets(spec)) for name, spec in factors.items()))
-
-
 @dataclass(frozen=True)
 class Effect:
     """A named effect: a sum of product terms, or the node remainder."""
@@ -134,14 +107,6 @@ class Effect:
     @property
     def is_rest(self):
         return self.terms is None
-
-
-def eff(name, *terms):
-    return Effect(name, tuple(terms))
-
-
-def rest(name):
-    return Effect(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +186,3 @@ class Mirror:
 
     outcome: str
     registers: tuple
-
-
-def measure(actor, effects, children):
-    names = [e.name for e in effects]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate effect names {names}")
-    if sum(1 for e in effects if e.is_rest) > 1:
-        raise ValueError("at most one remainder effect per node")
-    if set(children) != set(names):
-        raise ValueError(f"outcome branches {sorted(children)} do not match effects {sorted(names)}")
-    return Measure(actor=actor, effects=tuple(effects), children=dict(children))

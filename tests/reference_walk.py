@@ -3,11 +3,15 @@
 Each basis state is one flat amplitude vector over the whole space.  An
 effect is a ``np.kron`` of projectors from ``KetExpr.vector``, a remainder is
 the identity minus its siblings, and both act with ``np.tensordot`` on the
-acted axes: no support columns, index tables or memoised matrices.  The
-tree is walked with every mirror child written out by
-:func:`gnpb.engine.conjugate_tree`.  Leaves call :func:`gnpb.engine.leaf_verify`
-on dense kets, so this walk shares the strategy search with the engine and
-does not check it.
+acted axes: no support columns, index tables or memoised matrices.  A mirror
+child is not expanded: the walk enters the source subtree as written, with
+every survivor's amplitudes flipped (|0> <-> |1>) on the named registers,
+which must be qubits of the node's space.  That walk is the walk of the
+expanded subtree, whose effects :func:`gnpb.engine.conjugate_tree` conjugates
+by the same flip, because no law of the walk changes under a local unitary;
+it shares no code with ``conjugate_tree``.  Leaves call
+:func:`gnpb.engine.leaf_verify` on dense stacks, so this walk shares the
+strategy search with the engine and does not check it.
 """
 
 from functools import reduce
@@ -16,10 +20,13 @@ from math import log2, prod
 import numpy as np
 
 from gnpb.bases import resource_amplitudes
-from gnpb.engine import conjugate_tree, leaf_verify
-from gnpb.qstate import RANK_TOL, Ket, Subsystem
+from gnpb.engine import leaf_verify
+from gnpb.qstate import RANK_TOL, Subsystem
 from gnpb.tree import (
-    RESOURCE_KINDS, TOL, AttachResource, Distinguishable, Fail, Identify, Measure, MergeParties)
+    RESOURCE_KINDS, TOL, AttachResource, Distinguishable, Fail, Identify, Measure, MergeParties,
+    Mirror)
+
+from .helpers import stack_of
 
 
 def _projector(term, acted, dims):
@@ -41,7 +48,7 @@ class ReferenceWalk:
         self.identification = {lbl: 0.0 for lbl in basis.labels}
         states = [(s.label, reduce(np.kron, s.factors), 1.0) for s in basis.states]
         try:
-            self.run(conjugate_tree(root, {}), basis.space(), states, [], frozenset(), "root")
+            self.run(root, basis.space(), states, [], frozenset(), "root")
         except (KeyError, ValueError):
             self.failures.add(("root", "execution-error"))
         if any(not abs(p - 1.0) <= tol for p in self.identification.values()):
@@ -125,8 +132,15 @@ class ReferenceWalk:
             if overlaps and not max(overlaps) <= 10 * self.tol:
                 fail((f"{path}/{effect.name}", "orthogonality"))
                 continue
-            self.run(node.children.get(effect.name), space, survivors, resources, used,
-                     f"{path}/{effect.name}")
+            child = node.children.get(effect.name)
+            if isinstance(child, Mirror):
+                if any(space.subsystem(r).dim != 2 for r in child.registers):
+                    raise ValueError(f"mirror {effect.name!r} flips a non-qubit register")
+                axes = [space.axis(r) for r in child.registers]
+                survivors = [(lbl, np.flip(v.reshape(space.dims), axes).reshape(-1), w)
+                             for lbl, v, w in survivors]
+                child = node.children[child.outcome]
+            self.run(child, space, survivors, resources, used, f"{path}/{effect.name}")
         if not np.all(np.abs(sums - 1.0) <= self.tol):
             fail((path, "probability-sum"))
 
@@ -144,7 +158,7 @@ class ReferenceWalk:
             if set(labels) != set(node.labels):
                 return fail((path, "leaf-set"))
             ignore = [lbl for r in resources if r not in used for lbl in r[2]]
-            if leaf_verify([(lbl, Ket(space, v)) for lbl, v, _ in states], ignore,
+            if leaf_verify(*stack_of(space, [(lbl, v) for lbl, v, _ in states]), ignore,
                            self.tol) is None:
                 return fail((path, "leaf-indistinguishable"))
             self.leaves.add((path, tuple(sorted(labels))))

@@ -15,7 +15,7 @@ from gnpb.engine import leaf_verify, verify_protocol
 from gnpb.opm import classify, find_eliminating_opm, opm_solution_space
 from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 
-from .helpers import joint_kets, resource_cuts_per_path
+from .helpers import joint_stack, resource_cuts_per_path
 
 TOL = 1e-9
 
@@ -116,9 +116,9 @@ def test_criterion_4_negative_controls():
     ok &= not neg.ok
 
     bennett = get_basis("bennett_3x3")
-    ok &= leaf_verify(joint_kets(bennett)) is None
+    ok &= leaf_verify(*joint_stack(bennett)) is None
     shift = get_basis("shift_222")
-    ok &= leaf_verify(joint_kets(shift)) is None
+    ok &= leaf_verify(*joint_stack(shift)) is None
 
     # every distinguishable leaf in every built-in is strategy-certified
     for name in sorted(BUILTIN_PROTOCOLS):

@@ -21,9 +21,10 @@ from gnpb.bases import (
     resource_amplitudes,
     shift_upb_opb_222,
 )
-from gnpb.qstate import CompositeSpace, Ket, Subsystem, schmidt_ebits
+from gnpb.qstate import CompositeSpace, Subsystem, schmidt_ebits
 from gnpb.tree import KetExpr
 
+from .helpers import states_by_label
 from .test_golden_classify import rotated
 
 ALL_BASES = ["bennett_3x3", "B_I_43", "B_II_43", "B_II_33", "B_IIb_33", "shift_222"]
@@ -70,14 +71,14 @@ def test_basis_I_alice_three_sector_is_sixteen():
 
 
 def test_basis_I_embeds_bennett_both_ways():
-    b = basis_I_43()
+    b = states_by_label(basis_I_43())
     bennett = bennett_npb_3x3()
     for lbl, st2 in zip(bennett.labels, bennett.states):
-        bc = b.state(f"3_{lbl}")
+        bc = b[f"3_{lbl}"]
         assert np.allclose(bc.factors[0], KetExpr(3).vector(4))
         assert np.allclose(bc.factors[1][:3], st2.factors[0])
         assert np.allclose(bc.factors[2][:3], st2.factors[1])
-        ab = b.state(f"{lbl}_3")
+        ab = b[f"{lbl}_3"]
         assert np.allclose(ab.factors[2], KetExpr(3).vector(4))
         assert np.allclose(ab.factors[0][:3], st2.factors[0])
         assert np.allclose(ab.factors[1][:3], st2.factors[1])
@@ -94,13 +95,13 @@ def test_II_43_swaps_exactly_six_states():
 def test_II_43_contains_twist_not_computational():
     labels = set(basis_II_43().labels)
     assert "03cp" in labels and "032" not in labels
-    st = basis_II_43().state("03cp")
+    st = states_by_label(basis_II_43())["03cp"]
     assert np.allclose(st.factors[2], KetExpr(2, 3, 1).vector(4))
 
 
 def test_II_33_sign_convention():
     b = basis_II_33()
-    st = b.state("psi_1_pm")  # |0>|eta+>|xi->
+    st = states_by_label(b)["psi_1_pm"]  # |0>|eta+>|xi->
     assert np.allclose(st.factors[0], KetExpr(0).vector(3))
     assert np.allclose(st.factors[1], KetExpr(0, 1, 1).vector(3))
     assert np.allclose(st.factors[2], KetExpr(1, 2, -1).vector(3))
@@ -110,7 +111,7 @@ def test_II_33_sign_convention():
 
 
 def test_IIb_33_contains_kappa_state():
-    st = basis_IIb_33().state("gamma_2_p")  # |kappa+>|0>|2>
+    st = states_by_label(basis_IIb_33())["gamma_2_p"]  # |kappa+>|0>|2>
     assert np.allclose(st.factors[0], KetExpr(0, 2, 1).vector(3))
     assert np.allclose(st.factors[1], KetExpr(0).vector(3))
     assert np.allclose(st.factors[2], KetExpr(2).vector(3))
@@ -132,7 +133,7 @@ def test_shift_relabeling_of_conditional_branch_states():
 
     relabeled = []
     for lbl in outcome:
-        fs = b43.state(lbl).factors
+        fs = states_by_label(b43)[lbl].factors
         relabeled.append(np.kron(np.kron(relabel(fs[0], perm_ab), relabel(fs[1], perm_ab)),
                                  relabel(fs[2], perm_c)))
     shift = shift_upb_opb_222()
@@ -209,9 +210,9 @@ def test_resource_entropies(kind, cut_ebits):
     dims, declared = RESOURCE_KINDS[kind][:2]
     labels = [f"r{i}" for i in range(len(dims))]
     space = CompositeSpace(Subsystem(lbl, d, lbl) for lbl, d in zip(labels, dims))
-    ket = Ket(space, resource_amplitudes(kind))
     for lbl in labels:
-        assert schmidt_ebits(ket, (lbl,)) == pytest.approx(cut_ebits, abs=1e-9)
+        assert schmidt_ebits(space, resource_amplitudes(kind), (lbl,)) == pytest.approx(
+            cut_ebits, abs=1e-9)
     assert declared == pytest.approx(cut_ebits)
 
 

@@ -20,7 +20,7 @@ from gnpb.engine import (
     verify_protocol,
 )
 from gnpb.protocols import get_protocol
-from gnpb.qstate import Ket, Subsystem
+from gnpb.qstate import CompositeSpace, Subsystem
 from gnpb.tree import (
     AttachResource,
     Distinguishable,
@@ -31,13 +31,10 @@ from gnpb.tree import (
     Measure,
     MergeParties,
     Mirror,
-    P,
-    eff,
-    measure,
-    rest,
 )
 
-from .helpers import joint_kets, joint_rows, resource_cuts_per_path
+from .helpers import (
+    P, eff, joint_rows, joint_stack, measure, resource_cuts_per_path, rest, stack_of)
 
 
 def _single_state_basis():
@@ -107,7 +104,7 @@ def test_leaf_verify_two_states_second_party():
         ProductState("x", (KetExpr(0).vector(2), KetExpr(0).vector(2))),
         ProductState("y", (KetExpr(0).vector(2), KetExpr(1).vector(2))),
     ])
-    tree = leaf_verify(joint_kets(basis, ["x", "y"]))
+    tree = leaf_verify(*joint_stack(basis, ["x", "y"]))
     assert tree is not None
     assert tree.party == "B"
 
@@ -120,7 +117,7 @@ def test_leaf_verify_twist_family():
             factors = (KetExpr(0, 1, s).vector(3), KetExpr(2).vector(3), KetExpr(1, 2, t).vector(3))
             states.append(ProductState(f"psi_{sn}{tn}", factors))
     basis = OrthoProductBasis("fam", [("A", 3), ("B", 3), ("C", 3)], states)
-    tree = leaf_verify(joint_kets(basis))
+    tree = leaf_verify(*joint_stack(basis))
     assert tree is not None
     assert tree.party == "A"
     assert len(tree.blocks) == 2
@@ -132,26 +129,24 @@ def test_leaf_verify_twist_family():
 
 def test_leaf_verify_none_on_bennett():
     basis = get_basis("bennett_3x3")
-    assert leaf_verify(joint_kets(basis)) is None
+    assert leaf_verify(*joint_stack(basis)) is None
 
 
 def test_leaf_verify_none_on_shift():
     basis = get_basis("shift_222")
-    assert leaf_verify(joint_kets(basis)) is None
+    assert leaf_verify(*joint_stack(basis)) is None
 
 
 def test_leaf_verify_none_on_entangled_input():
-    from gnpb.qstate import CompositeSpace, Ket, Subsystem
     space = CompositeSpace([Subsystem("A", 2, "A"), Subsystem("B", 2, "B")])
     phi = np.zeros(4)
     phi[[0, 3]] = 1 / np.sqrt(2)
     psi = np.zeros(4)
     psi[[1, 2]] = 1 / np.sqrt(2)
-    assert leaf_verify([("a", Ket(space, phi)), ("b", Ket(space, psi))]) is None
+    assert leaf_verify(*stack_of(space, [("a", phi), ("b", psi)])) is None
 
 
 def test_leaf_verify_ignores_detached_resource():
-    from gnpb.qstate import CompositeSpace, Ket, Subsystem
     space = CompositeSpace([
         Subsystem("A", 2, "A"), Subsystem("B", 2, "B"),
         Subsystem("x", 2, "A"), Subsystem("y", 2, "B"),
@@ -161,14 +156,15 @@ def test_leaf_verify_ignores_detached_resource():
     states = []
     for lbl, (i, j) in (("u", (0, 0)), ("v", (0, 1))):
         vec = np.kron(np.kron(KetExpr(i).vector(2), KetExpr(j).vector(2)), phi)
-        states.append((lbl, Ket(space, vec)))
-    assert leaf_verify(states) is None                        # entangled pair blocks
-    assert leaf_verify(states, ignore=("x", "y")) is not None  # detached: fine
+        states.append((lbl, vec))
+    leaf = stack_of(space, states)
+    assert leaf_verify(*leaf) is None                         # entangled pair blocks
+    assert leaf_verify(*leaf, ignore=("x", "y")) is not None  # detached: fine
 
 
 def test_leaf_verify_single_state():
     basis = _single_state_basis()
-    tree = leaf_verify(joint_kets(basis, ["only"]))
+    tree = leaf_verify(*joint_stack(basis, ["only"]))
     assert tree is not None and tree.party is None
 
 
@@ -369,8 +365,6 @@ def test_measurement_of_only_a_remainder_acts_on_no_register():
 
 def test_leaf_verify_strip_preserves_complex_phases():
     """Detaching a shared pair must not conjugate the remaining factors."""
-    from gnpb.qstate import CompositeSpace, Ket, Subsystem
-
     space = CompositeSpace([
         Subsystem("A", 2, "A"), Subsystem("B", 2, "B"),
         Subsystem("x", 2, "A"), Subsystem("y", 2, "B"),
@@ -383,8 +377,8 @@ def test_leaf_verify_strip_preserves_complex_phases():
     zero, one = KetExpr(0).vector(2), KetExpr(1).vector(2)
     for lbl, (a, b) in (("u", (plus_i, zero)), ("v", (minus_i, zero)), ("w", (zero, one))):
         vec = np.kron(np.kron(a, b), phi)
-        states.append((lbl, Ket(space, vec)))
-    tree = leaf_verify(states, ignore=("x", "y"))
+        states.append((lbl, vec))
+    tree = leaf_verify(*stack_of(space, states), ignore=("x", "y"))
     assert tree is not None
     # u and v differ only in the +-i phases on A; a conjugation bug would
     # make their stripped factors identical and the strategy impossible
@@ -476,6 +470,74 @@ def test_effect_matrices_built_once_per_walk(monkeypatch):
     assert n_first < first.n_measurements      # repeated nodes reuse their matrices
     assert len(built) == 2 * n_first           # nothing is kept from one walk to the next
     assert not any(e.is_rest for e in built)   # a remainder comes from its siblings' matrices
+
+
+def _counted_leaf_verify(monkeypatch):
+    """Record ``(sorted labels, found)`` of every leaf_verify call the walk makes."""
+    import gnpb.engine as eng
+
+    calls, search = [], eng.leaf_verify
+
+    def counted(labels, *args):
+        found = search(labels, *args)
+        calls.append((tuple(sorted(labels)), found is not None))
+        return found
+
+    monkeypatch.setattr(eng, "leaf_verify", counted)
+    return calls
+
+
+def _leaf_verify_calls_match(report, calls):
+    found = [lbls for lbls, ok in calls if ok]
+    assert found == [lbls for _, lbls, _ in report.leaf_strategies]
+    assert len(calls) - len(found) == sum(
+        f["kind"] == "leaf-indistinguishable" for f in report.failures)
+
+
+@pytest.mark.parametrize("name", ["prop5_II33", "prop7", "shift_AB", "typeI_43"])
+def test_walk_searches_every_distinguishable_leaf_with_leaf_verify(monkeypatch, name):
+    """The walk's leaf search is the public leaf_verify: one call per
+    distinguishable leaf that its declared states reach."""
+    calls = _counted_leaf_verify(monkeypatch)
+    report = get_protocol(name).verify()
+    assert report.ok and calls
+    _leaf_verify_calls_match(report, calls)
+
+
+def test_walk_calls_leaf_verify_for_empty_and_indistinguishable_leaves(monkeypatch):
+    calls = _counted_leaf_verify(monkeypatch)
+    bennett = get_basis("bennett_3x3")
+    report = verify_protocol(Distinguishable(bennett.labels), bennett, "stuck")
+    assert calls == [(tuple(sorted(bennett.labels)), False)]
+    _leaf_verify_calls_match(report, calls)
+    calls.clear()
+    basis = OrthoProductBasis("pair", [("A", 2), ("B", 2)], [
+        ProductState("x", (KetExpr(0).vector(2), KetExpr(0).vector(2))),
+        ProductState("y", (KetExpr(0).vector(2), KetExpr(1).vector(2))),
+    ])
+    report = verify_protocol(_empty_branch_tree((Distinguishable([]), Fail())), basis, "empty")
+    assert calls == [(("x", "y"), True), (("x", "y"), True), ((), True)]
+    _leaf_verify_calls_match(report, calls)
+
+
+def qutrit_mirror():
+    """A tree whose mirror flips the qutrit A, and its basis: the source
+    branch measures level 2 of A, which |0> <-> |1> leaves without an image.
+    The parser rejects such a mirror; a tree built in Python can hold one."""
+    e3, e2 = np.eye(3), np.eye(2)
+    basis = OrthoProductBasis("qutrit", [("A", 3), ("B", 2)], [
+        ProductState(f"s{i}{j}", (e3[i], e2[j])) for i in range(3) for j in range(2)])
+    source = measure("A", (eff("T", P(A=2)), rest("U")), {"T": Fail(), "U": Fail()})
+    root = measure("A", (eff("M", P(A=[0, 1])), rest("Mb")),
+                   {"M": source, "Mb": Mirror("M", ("A",))})
+    return root, basis
+
+
+def test_mirror_of_a_register_that_is_no_qubit_is_an_execution_error():
+    report = verify_protocol(*qutrit_mirror(), "qutrit-mirror")
+    assert not report.ok
+    assert {"node": "root", "kind": "execution-error",
+            "detail": "ket levels (2,) lie outside the level permutation (1, 0)"} in report.failures
 
 
 def test_complex_basis_walks_like_the_real_one():
@@ -598,8 +660,8 @@ def test_sibling_leaves_reusing_labels_are_searched_on_their_own_space(kinds_0, 
                 amps = np.kron(joint_rows(basis)[lbl], pair)
                 for kind in kinds[1:]:
                     amps = np.kron(amps, resource_amplitudes(kind))
-                states.append((lbl, Ket(space, amps)))
-            strategy = leaf_verify(states, ignore="abcd"[2:2 * len(kinds)])
+                states.append((lbl, amps))
+            strategy = leaf_verify(*stack_of(space, states), ignore="abcd"[2:2 * len(kinds)])
             assert strategy is not None
             expected.append((f"root/{outcome}/a{k}", tuple(sorted(labels)), strategy.text()))
     assert [(p, lbls, s.text()) for p, lbls, s in report.leaf_strategies] == expected

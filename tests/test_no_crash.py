@@ -4,9 +4,11 @@ Random trees on the built-in bases mix measurements with computational and
 (|i> +- |j>)/sqrt2 kets on registers the actor holds (with or without a
 ``rest`` effect, and with outcomes that mirror the first one under flips of
 qubit registers), EPR/GHZ attachments with fresh labels, merges with random
-costs and random leaves.  Most of them fail verification; what must hold is
-that every failure is a documented kind, that the PDL text of the tree
-parses back to the same tree, and that ``gnpb verify`` exits 0, 1 or 2.
+costs and random leaves.  Three trees in four open with an attachment and a
+measurement, so that over a third of them hold a mirror.  Most of them fail
+verification; what must hold is that every failure is a documented kind,
+that the PDL text of the tree parses back to the same tree, and that
+``gnpb verify`` exits 0, 1 or 2.
 """
 
 import contextlib
@@ -78,10 +80,11 @@ def complete_measurement(draw, dims):
 
 
 @st.composite
-def trees(draw, labels, held, depth):
-    """A node over the registers ``held``: party -> {register: dim}."""
+def trees(draw, labels, held, depth, lead=()):
+    """A node over the registers ``held``: party -> {register: dim}.  The
+    kinds of the first nodes on its leftmost path are ``lead``, the others drawn."""
     kinds = ["leaf"] if depth == 0 else ["leaf", "measure", "measure", "attach", "merge"]
-    kind = draw(st.sampled_from(kinds))
+    kind = lead[0] if lead else draw(st.sampled_from(kinds))
     parties = sorted(held)
     if kind == "measure":
         actor = draw(st.sampled_from(parties))
@@ -94,10 +97,10 @@ def trees(draw, labels, held, depth):
                        for e in range(draw(st.integers(1, 3)))]
         if draw(st.booleans()):
             effects[-1:] = [Effect("R", None)]
-        children = {e.name: draw(trees(labels, held, depth - 1)) for e in effects}
+        children = {e.name: draw(trees(labels, held, depth - 1, lead[1:])) for e in effects}
         qubits = sorted(r for regs in held.values() for r, d in regs.items() if d == 2)
         for e in effects[1:]:
-            if qubits and draw(st.booleans()):
+            if qubits and draw(st.sampled_from((True, True, False))):  # 2 in 3 mirror
                 flips = draw(st.lists(st.sampled_from(qubits), min_size=1, unique=True))
                 children[e.name] = Mirror(effects[0].name, tuple(flips))
         return Measure(actor, tuple(effects), children)
@@ -111,7 +114,8 @@ def trees(draw, labels, held, depth):
         inner = {p: dict(regs) for p, regs in held.items()}
         for p, name, d in zip(ends, names, dims):
             inner[p][name] = d
-        return AttachResource(res, tuple(ends), names, draw(trees(labels, inner, depth - 1)))
+        return AttachResource(res, tuple(ends), names,
+                              draw(trees(labels, inner, depth - 1, lead[1:])))
     if kind == "merge" and len(held) > 1:
         src, dst = draw(st.permutations(parties))[:2]
         inner = {p: dict(regs) for p, regs in held.items() if p != src}
@@ -132,7 +136,10 @@ def protocols(draw):
     name = draw(st.sampled_from(sorted(BASES)))
     basis = BASES[name]
     held = {p: {p: d} for p, d in basis.parties}
-    return NamedProtocol("random", name, (), draw(trees(basis.labels, held, 3)))
+    # three trees in four open with qubits to flip and a measurement whose
+    # outcomes may mirror each other
+    lead = draw(st.sampled_from((("attach", "measure"),) * 3 + ((),)))
+    return NamedProtocol("random", name, (), draw(trees(basis.labels, held, 3, lead)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,

@@ -626,7 +626,7 @@ def _eager_find_eliminating_opm(basis, group):
     """The witness search as it was before the draw became lazy: all 20
     seeded random combinations are drawn up front, after the basis matrices."""
     space = opm_solution_space(basis, group)
-    if not space.nontrivial:
+    if not space.dim > 1:
         return None
     labels = np.array(basis.labels, dtype=object)
     d = space.local_dim

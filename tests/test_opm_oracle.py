@@ -19,7 +19,9 @@ import pytest
 from gnpb.bases import get_basis
 from gnpb.engine import materialize, verify_protocol
 from gnpb.opm import classify, opm_solution_space
-from gnpb.tree import BASIS_NAMES, Fail, KetExpr, P, eff, measure
+from gnpb.tree import BASIS_NAMES, Fail, KetExpr
+
+from .helpers import P, eff, measure
 
 DRAWS = 12
 

@@ -11,7 +11,7 @@ from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL, born
 from gnpb.tree import Distinguishable, Identify
 
-from .helpers import joint_kets, joint_rows, resource_cuts_per_path
+from .helpers import joint_rows, joint_stack, resource_cuts_per_path, states_by_label
 
 
 def _born1(space, acted, matrix, vec):
@@ -254,7 +254,7 @@ def test_prop7_k3_survivors_form_shift_set():
         assert s[0] == pytest.approx(1.0, abs=1e-9)  # tags factor out
         main = u[:, 0]
         target = np.zeros(27, dtype=complex)
-        fs = shift.state(shift_lbl).factors
+        fs = states_by_label(shift)[shift_lbl].factors
         emb = np.kron(np.kron(np.concatenate([fs[0], [0]]),
                               np.concatenate([fs[1], [0]])),
                       np.concatenate([fs[2], [0]]))
@@ -296,7 +296,7 @@ def test_shift_subprotocol_every_endpoint_pair():
 
 def test_shift_without_epr_is_stuck():
     basis = get_basis("shift_222")
-    assert leaf_verify(joint_kets(basis)) is None
+    assert leaf_verify(*joint_stack(basis)) is None
 
 
 def test_every_distinguishable_leaf_has_strategy():

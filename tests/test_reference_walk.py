@@ -2,7 +2,9 @@
 
 Compared: the verdict, the set of (node, kind) failures (not their detail
 text), the identification totals and the ledger rows to 1e-12, and the
-set of distinguishable leaves (path and labels).  Both walks certify a leaf
+set of distinguishable leaves (path and labels).  The reference walk
+flips states at a mirror where the engine conjugates effects, so the
+comparison checks the engine's flip rule too.  Both walks certify a leaf
 with the same strategy search, so the strategies themselves are pinned
 elsewhere (``test_golden_cli.py``).
 """
@@ -16,6 +18,7 @@ from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL
 
 from .reference_walk import ReferenceWalk
+from .test_engine import qutrit_mirror
 from .test_golden_cli import DENSE_SUPPORT_DIGESTS, FAILING, _rotated
 from .test_no_crash import BASES, protocols
 
@@ -50,6 +53,12 @@ def test_protocol_on_a_basis_it_does_not_fit(name, basis):
 def test_rotated_basis(name, angle, tol):
     proto = get_protocol(name)
     assert_walks_agree(proto.root, _rotated(proto.basis(), angle), tol)
+
+
+def test_mirror_of_a_register_that_is_no_qubit():
+    root, basis = qutrit_mirror()
+    report = assert_walks_agree(root, basis)
+    assert ("root", "execution-error") in {(f["node"], f["kind"]) for f in report.failures}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
