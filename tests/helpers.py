@@ -131,5 +131,5 @@ def stack_of(space, states):
 def joint_stack(basis, labels=None):
     """:func:`stack_of` the states ``labels`` (every state by default) on the basis's space."""
     rows = joint_rows(basis)
-    return stack_of(basis.space(), [(lbl, rows[lbl]) for lbl in
-                                    (basis.labels if labels is None else labels)])
+    labels = basis.labels if labels is None else labels
+    return stack_of(basis.space(), [(lbl, rows[lbl]) for lbl in labels])
