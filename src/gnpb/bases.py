@@ -324,9 +324,6 @@ class TileGroup:
 
 @dataclass(frozen=True)
 class TileReport:
-    basis: str
-    row_parties: tuple
-    col_party: str
     n_rows: int
     n_cols: int
     groups: tuple
@@ -401,12 +398,4 @@ def render_tiles(basis, merged):
     header = f"{basis.name}  rows={'*'.join(merged)} ({n_rows})  cols={col_party} ({n_cols})"
     grid = "\n".join("  " + " ".join(row) for row in cell)
     text = header + "\n" + grid + "\n" + "\n".join(lines)
-    return TileReport(
-        basis=basis.name,
-        row_parties=merged,
-        col_party=col_party,
-        n_rows=n_rows,
-        n_cols=n_cols,
-        groups=tuple(groups),
-        text=text,
-    )
+    return TileReport(n_rows=n_rows, n_cols=n_cols, groups=tuple(groups), text=text)

@@ -148,21 +148,16 @@ def cmd_classify(args):
         cert = opm.classify(basis)
     except ValueError as exc:
         raise UsageError(f"cannot classify {basis.name}: {exc}") from None
+    doc = cert.to_dict()  # groups named as in the JSON report: "A", ..., "A+B"
     if args.json:
-        _emit_json(cert.to_dict())
+        _emit_json(doc)
     else:
         print(f"basis {cert.basis}: verdict {cert.verdict}")
-        for p, d in cert.single_dims.items():
-            print(f"  group {p}: solution-space dim {d}"
-                  + ("  (reducible)" if d > 1 else ""))
-        for g, d in cert.merged_dims.items():
-            print(f"  group {'+'.join(g)}: solution-space dim {d}"
-                  + ("  (reducible)" if d > 1 else ""))
-        if cert.witness:
-            w = cert.witness
-            sizes = [len(s) for s in w.survivors]
-            print(f"  witness: {len(w.effects)}-outcome OPM on {'+'.join(w.group)}, "
-                  f"survivor counts {sizes}")
+        for g, d in [*doc["single_dims"].items(), *doc["merged_dims"].items()]:
+            print(f"  group {g}: solution-space dim {d}" + ("  (reducible)" if d > 1 else ""))
+        if w := doc["witness"]:
+            print(f"  witness: {w['n_effects']}-outcome OPM on {'+'.join(w['group'])}, "
+                  f"survivor counts {[len(s) for s in w['survivors']]}")
     return 0
 
 

@@ -521,6 +521,14 @@ class _Walk:
             survivors = _Candidates(labels, posts, cands.weights[idx] * out.probs[e, idx], cols)
             child = node.children.get(effect.name)
             if isinstance(child, Mirror):
+                # as the parser requires, each flipped register is a qubit in
+                # scope, named once (_flipped would flip a repeated name once)
+                for n, r in enumerate(child.registers):  # KeyError for an unknown name
+                    if (d := space.subsystem(r).dim) != 2:
+                        raise ValueError(f"mirror {effect.name!r}: register {r!r} "
+                                         f"is not a qubit (dim {d})")
+                    if r in child.registers[:n]:
+                        raise ValueError(f"mirror {effect.name!r}: register {r!r} flipped twice")
                 child = conjugate_tree(node.children[child.outcome], _flipped({}, child.registers))
             self.run(child, space, survivors, resources, new_acted, f"{path}/{effect.name}")
 

@@ -15,15 +15,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import combinations
 
 import numpy as np
 
 from .qstate import RANK_TOL, kron_rows
 from .tree import TOL
-
-
-def _party_index(basis):
-    return {p: i for i, (p, _) in enumerate(basis.parties)}
 
 
 def group_factorization(basis, group):
@@ -33,7 +30,7 @@ def group_factorization(basis, group):
     Factors multiply in party order, so two states' group factors live in
     the same tensor ordering.  An empty rest is the factor ``[1]``.
     """
-    idx = _party_index(basis)
+    idx = {p: i for i, (p, _) in enumerate(basis.parties)}
     for p in group:
         if p not in idx:
             raise KeyError(f"unknown party {p!r}")
@@ -241,18 +238,9 @@ EIGEN_CLUSTER_TOL = 1e-7
 
 def _eigen_projectors(h):
     evals, evecs = np.linalg.eigh(h)
-    clusters = []
-    for idx, ev in enumerate(evals):
-        if clusters and abs(ev - clusters[-1][0][-1]) < EIGEN_CLUSTER_TOL * max(1.0, abs(evals[-1])):
-            clusters[-1][0].append(ev)
-            clusters[-1][1].append(idx)
-        else:
-            clusters.append(([ev], [idx]))
-    projectors = []
-    for _, idxs in clusters:
-        v = evecs[:, idxs]
-        projectors.append(v @ v.conj().T)
-    return projectors
+    # ascending: a cluster ends at each gap not below the tolerance, a NaN gap too
+    close = np.diff(evals) < EIGEN_CLUSTER_TOL * max(1.0, abs(evals[-1]))
+    return [v @ v.conj().T for v in np.split(evecs, np.flatnonzero(~close) + 1, axis=1)]
 
 
 def _groupings(projectors):
@@ -335,36 +323,24 @@ class GnpbClassification:
 def classify(basis):
     """Type of a tripartite basis by where OPM elimination is possible.
 
-    TypeI: some single party already has a nontrivial OPM.  TypeIIa: only
-    merged pairs do.  TypeIIb: not even merged pairs do.  The verdict covers
-    the elimination hierarchy only; it does not by itself certify local
-    indistinguishability.
+    The groups are solved in the order A, B, C, A+B, A+C, B+C, and the
+    witness group is the first whose solution space has dimension above 1:
+    a single party gives TypeI, a merged pair TypeIIa, and no such group
+    TypeIIb.  The verdict covers the elimination hierarchy only; it does not
+    by itself certify local indistinguishability.
     """
     parties = [p for p, _ in basis.parties]
     if len(parties) != 3:
         raise ValueError("classification is implemented for tripartite bases")
     if not basis.states:
         raise ValueError("classification needs at least one state")
-    single_dims = {p: opm_solution_space(basis, (p,)).dim for p in parties}
-    merged_dims = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            g = (parties[i], parties[j])
-            merged_dims[g] = opm_solution_space(basis, g).dim
-    if any(d > 1 for d in single_dims.values()):
-        verdict = "TypeI"
-        witness_group = next((p,) for p in parties if single_dims[p] > 1)
-    elif any(d > 1 for d in merged_dims.values()):
-        verdict = "TypeIIa"
-        witness_group = next(g for g in merged_dims if merged_dims[g] > 1)
-    else:
-        verdict = "TypeIIb"
-        witness_group = None
-    witness = find_eliminating_opm(basis, witness_group) if witness_group else None
+    groups = [(p,) for p in parties] + list(combinations(parties, 2))
+    dims = {g: opm_solution_space(basis, g).dim for g in groups}
+    witness_group = next((g for g in groups if dims[g] > 1), ())
     return GnpbClassification(
         basis=basis.name,
-        single_dims=single_dims,
-        merged_dims=merged_dims,
-        verdict=verdict,
-        witness=witness,
+        single_dims={p: dims[(p,)] for p in parties},
+        merged_dims={g: dims[g] for g in groups if len(g) == 2},
+        verdict=("TypeIIb", "TypeI", "TypeIIa")[len(witness_group)],  # by the group's size
+        witness=find_eliminating_opm(basis, witness_group) if witness_group else None,
     )

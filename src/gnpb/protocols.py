@@ -3,8 +3,9 @@
 Each protocol is written once, as ``protocols/<name>.pdl`` (shipped in the
 package as ``gnpb/fixtures``).  Sibling outcome branches that are images
 of one finished branch under ancilla bit flips are written as ``mirror``
-outcomes, the paper's "by symmetry"; the walk expands each one, and the
-expanded branch is machine-verified like any other, never trusted.  Where
+outcomes, the paper's "by symmetry"; the walk checks that each flipped
+register is a qubit in scope and expands the mirror, and the expanded
+branch is machine-verified like any other, never trusted.  Where
 a surviving pair only differs in an entangled sign shared with a remote
 ancilla, the tree appends explicit +-basis ancilla measurements (a "sign
 dance") until every leaf is a product set certified by the leaf strategy

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, JSON stability, file inputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from gnpb.bases import basis_IIb_33, shift_upb_opb_222
+from gnpb.bases import basis_IIb_33, get_basis, shift_upb_opb_222
 from gnpb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +97,30 @@ def test_classify_json_file(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 0
     assert "TypeIIb" in out
+
+
+def test_classify_names_groups_by_whole_party_names(tmp_path, capsys):
+    """B_II_43 with parties Alice, Bob and Carol: every group line and the
+    witness join whole names, in both reports."""
+    doc = json.loads(get_basis("B_II_43").to_json())
+    for party in doc["parties"]:
+        party["name"] = {"A": "Alice", "B": "Bob", "C": "Carol"}[party["name"]]
+    path = tmp_path / "B_II_43.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classify", str(path)) == (0, """\
+basis B_II_43: verdict TypeIIa
+  group Alice: solution-space dim 1
+  group Bob: solution-space dim 1
+  group Carol: solution-space dim 1
+  group Alice+Bob: solution-space dim 8  (reducible)
+  group Alice+Carol: solution-space dim 10  (reducible)
+  group Bob+Carol: solution-space dim 8  (reducible)
+  witness: 2-outcome OPM on Alice+Bob, survivor counts [60, 4]
+""", "")
+    code, out, _ = run(capsys, "--json", "classify", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a7ad8356b66679845d3fe85f244fb868f27222b471caecfa2aa6b7e43eb64c74")
 
 
 def test_verify_pdl_file(tmp_path, capsys):

@@ -520,24 +520,34 @@ def test_walk_calls_leaf_verify_for_empty_and_indistinguishable_leaves(monkeypat
     _leaf_verify_calls_match(report, calls)
 
 
-def qutrit_mirror():
-    """A tree whose mirror flips the qutrit A, and its basis: the source
-    branch measures level 2 of A, which |0> <-> |1> leaves without an image.
-    The parser rejects such a mirror; a tree built in Python can hold one."""
+#: (source level, flipped registers) of mirrors that no parsed tree holds:
+#: level 2 of the qutrit A has no image under |0> <-> |1>, level 0 has one
+#: although A is no qubit, zz names no register, and the qubit B is named twice
+BAD_MIRRORS = {"qutrit-no-image": (2, ("A",)), "qutrit": (0, ("A",)), "unknown": (0, ("zz",)),
+               "twice": (0, ("B", "B"))}
+
+
+def bad_mirror(level, registers):
+    """A tree whose mirror flips ``registers`` while its source branch
+    measures ``level`` of the qutrit A, and its basis.  The parser rejects
+    such a mirror; a tree built in Python can hold one."""
     e3, e2 = np.eye(3), np.eye(2)
     basis = OrthoProductBasis("qutrit", [("A", 3), ("B", 2)], [
         ProductState(f"s{i}{j}", (e3[i], e2[j])) for i in range(3) for j in range(2)])
-    source = measure("A", (eff("T", P(A=2)), rest("U")), {"T": Fail(), "U": Fail()})
+    source = measure("A", (eff("T", P(A=level)), rest("U")), {"T": Fail(), "U": Fail()})
     root = measure("A", (eff("M", P(A=[0, 1])), rest("Mb")),
-                   {"M": source, "Mb": Mirror("M", ("A",))})
+                   {"M": source, "Mb": Mirror("M", registers)})
     return root, basis
 
 
-def test_mirror_of_a_register_that_is_no_qubit_is_an_execution_error():
-    report = verify_protocol(*qutrit_mirror(), "qutrit-mirror")
+@pytest.mark.parametrize("case", sorted(BAD_MIRRORS))
+def test_mirror_of_a_register_that_is_no_qubit_is_an_execution_error(case):
+    detail = {"unknown": "\"no subsystem named 'zz' in CompositeSpace(A:3, B:2)\"",
+              "twice": "mirror 'Mb': register 'B' flipped twice"}.get(
+        case, "mirror 'Mb': register 'A' is not a qubit (dim 3)")
+    report = verify_protocol(*bad_mirror(*BAD_MIRRORS[case]), "bad-mirror")
     assert not report.ok
-    assert {"node": "root", "kind": "execution-error",
-            "detail": "ket levels (2,) lie outside the level permutation (1, 0)"} in report.failures
+    assert {"node": "root", "kind": "execution-error", "detail": detail} in report.failures
 
 
 def test_complex_basis_walks_like_the_real_one():

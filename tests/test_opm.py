@@ -702,3 +702,36 @@ def test_random_candidates_match_the_eager_search(name, group, monkeypatch):
     got = search(find_eliminating_opm)
     assert got is not None
     _assert_same_witness(got, search(_eager_find_eliminating_opm))
+
+
+def _looped_eigen_projectors(h):
+    """The eigenvalue clustering as a loop: an eigenvalue joins the previous
+    one's cluster when their gap is below the tolerance."""
+    evals, evecs = np.linalg.eigh(h)
+    tol = opm.EIGEN_CLUSTER_TOL * max(1.0, abs(evals[-1]))
+    clusters = []
+    for idx, ev in enumerate(evals):
+        if clusters and abs(ev - evals[clusters[-1][-1]]) < tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [evecs[:, c] @ evecs[:, c].conj().T for c in clusters]
+
+
+def _spectrum(*evals):
+    u = _haar_unitary(np.random.default_rng(len(evals)), len(evals))
+    return (u * np.array(evals)) @ u.conj().T
+
+
+@pytest.mark.parametrize("h, sizes", [
+    (_spectrum(0, 0, 1, 1, 1, 2), [2, 3, 1]),
+    (_spectrum(0, 5e-8, 1e-7, 1), [3, 1]),  # a chain of close gaps is one cluster
+    (_spectrum(0, 2e-7, 1), [1, 1, 1]),
+    (_spectrum(0, 2e-7, 3), [2, 1]),  # the tolerance scales with the largest eigenvalue
+    (np.diag([np.nan, 1.0, 1.0]), [1, 2]),  # a NaN gap ends a cluster
+])
+def test_eigen_projectors_match_the_loop(h, sizes):
+    got, want = opm._eigen_projectors(h), _looped_eigen_projectors(h)
+    assert [round(np.trace(p).real) for p in want] == sizes
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))

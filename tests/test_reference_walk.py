@@ -18,7 +18,7 @@ from gnpb.protocols import BUILTIN_PROTOCOLS, get_protocol
 from gnpb.qstate import TOL
 
 from .reference_walk import ReferenceWalk
-from .test_engine import qutrit_mirror
+from .test_engine import BAD_MIRRORS, bad_mirror
 from .test_golden_cli import DENSE_SUPPORT_DIGESTS, FAILING, _rotated
 from .test_no_crash import BASES, protocols
 
@@ -55,9 +55,9 @@ def test_rotated_basis(name, angle, tol):
     assert_walks_agree(proto.root, _rotated(proto.basis(), angle), tol)
 
 
-def test_mirror_of_a_register_that_is_no_qubit():
-    root, basis = qutrit_mirror()
-    report = assert_walks_agree(root, basis)
+@pytest.mark.parametrize("case", sorted(BAD_MIRRORS))
+def test_mirror_of_a_register_that_is_no_qubit(case):
+    report = assert_walks_agree(*bad_mirror(*BAD_MIRRORS[case]))
     assert ("root", "execution-error") in {(f["node"], f["kind"]) for f in report.failures}
 
 
