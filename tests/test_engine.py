@@ -540,14 +540,22 @@ def bad_mirror(level, registers):
     return root, basis
 
 
-@pytest.mark.parametrize("case", sorted(BAD_MIRRORS))
-def test_mirror_of_a_register_that_is_no_qubit_is_an_execution_error(case):
-    detail = {"unknown": "\"no subsystem named 'zz' in CompositeSpace(A:3, B:2)\"",
-              "twice": "mirror 'Mb': register 'B' flipped twice"}.get(
-        case, "mirror 'Mb': register 'A' is not a qubit (dim 3)")
+def _assert_mirror_error(case, detail):
     report = verify_protocol(*bad_mirror(*BAD_MIRRORS[case]), "bad-mirror")
     assert not report.ok
     assert {"node": "root", "kind": "execution-error", "detail": detail} in report.failures
+
+
+def test_mirror_of_a_register_that_is_no_qubit_is_an_execution_error():
+    _assert_mirror_error("qutrit-no-image", "mirror 'Mb': register 'A' is not a qubit (dim 3)")
+
+
+@pytest.mark.parametrize("case", ["qutrit", "twice", "unknown"])
+def test_mirror_outside_the_parser_rules_is_an_execution_error(case):
+    _assert_mirror_error(case, {
+        "qutrit": "mirror 'Mb': register 'A' is not a qubit (dim 3)",
+        "twice": "mirror 'Mb': register 'B' flipped twice",
+        "unknown": "\"no subsystem named 'zz' in CompositeSpace(A:3, B:2)\""}[case])
 
 
 def test_complex_basis_walks_like_the_real_one():

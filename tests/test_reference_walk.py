@@ -55,10 +55,18 @@ def test_rotated_basis(name, angle, tol):
     assert_walks_agree(proto.root, _rotated(proto.basis(), angle), tol)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_MIRRORS))
-def test_mirror_of_a_register_that_is_no_qubit(case):
+def _assert_mirror_error(case):
     report = assert_walks_agree(*bad_mirror(*BAD_MIRRORS[case]))
     assert ("root", "execution-error") in {(f["node"], f["kind"]) for f in report.failures}
+
+
+def test_mirror_of_a_register_that_is_no_qubit():
+    _assert_mirror_error("qutrit-no-image")
+
+
+@pytest.mark.parametrize("case", ["qutrit", "twice", "unknown"])
+def test_mirror_outside_the_parser_rules(case):
+    _assert_mirror_error(case)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
